@@ -1,7 +1,7 @@
 //! One benchmark for the ALS trainer and the serving stack.
 //!
 //! ```text
-//! python3 perfbench/run.py --workload serve-scan --seed 1 --seconds 15 --trace 0
+//! python3 perfbench/run.py --workload serve-ann --seed 1 --seconds 20 --trace 0
 //! ```
 //!
 //! Every workload runs the same pipeline — synthesize a Netflix replica,
@@ -13,7 +13,9 @@
 //! `--trace 0` prints the end-to-end metrics; `--trace 1` is a separate
 //! run that replays one epoch and the base-rate traffic with spans around
 //! each layer and prints the per-layer metrics. The last stdout line is
-//! one JSON object: `{"correct", "attempted", "failed", "metrics"}`.
+//! one JSON object: `{"correct", "attempted", "failed", "metrics"}`. The
+//! exit code is 1 when an answer was wrong and 5 when the run is invalid
+//! because the load generator fell behind.
 
 mod serve;
 mod spans;
@@ -66,6 +68,9 @@ pub struct Report {
     pub wrong: Vec<String>,
     /// Notes printed beside the metrics (sample counts, absences, flags).
     pub notes: Vec<String>,
+    /// Why the run's measurements cannot be trusted, such as a load
+    /// generator that fell behind; a run with any is invalid.
+    pub invalid: Vec<String>,
 }
 
 impl Report {
@@ -77,6 +82,7 @@ impl Report {
             failed: 0,
             wrong: Vec::new(),
             notes: Vec::new(),
+            invalid: Vec::new(),
         }
     }
 
@@ -259,6 +265,9 @@ fn main() -> ExitCode {
     for wrong in &report.wrong {
         println!("WRONG: {wrong}");
     }
+    for why in &report.invalid {
+        println!("INVALID: {why}");
+    }
     println!(
         "{} operations attempted, {} failed; outputs {}",
         report.attempted,
@@ -284,9 +293,11 @@ fn main() -> ExitCode {
         report.failed,
         metrics.join(", ")
     );
-    if report.correct() {
-        ExitCode::SUCCESS
-    } else {
+    if !report.correct() {
         ExitCode::from(1)
+    } else if !report.invalid.is_empty() {
+        ExitCode::from(5)
+    } else {
+        ExitCode::SUCCESS
     }
 }

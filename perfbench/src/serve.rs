@@ -6,8 +6,8 @@ use crate::spans::{Clock, Spans};
 use crate::stats::{mean, median, quantile, Gauss};
 use crate::train::{Data, Training};
 use crate::workloads::{
-    ladder, Catalog, Users, Workload, BASE_SHARE, CHECKS_PER_KIND, K, LATE_LIMIT_SHARE,
-    RECALL_USERS, SETUP_REPS, SLATE, SLO_MS,
+    ladder, Catalog, Users, Workload, CHECKS_PER_KIND, K, LATE_LIMIT_SHARE, RECALL_USERS,
+    SETUP_REPS, SLATE, SLO_MS,
 };
 use crate::{Report, Source};
 use cumf_als::fold_in_batch;
@@ -446,22 +446,32 @@ fn check_answers(
                 });
             }
             Kind::Explain => {
-                // The terms sum in factor order while the served score
-                // reduces in lane order, so the two agree to FP32 roundoff:
-                // 1e-6, widened to the worst-case error of reassociating an
-                // f-term sum where the scores' magnitude needs it.
-                let served = scores[p.item as usize];
+                // Each term is the exact product x_u[j]·θ_v[j] and the prior
+                // is the published one, bit for bit. Only their sum may
+                // differ from the served score: the terms sum in factor
+                // order while the score reduces in lane order, so the two
+                // agree to 1e-6, widened to the worst-case error of
+                // reassociating an f-term sum where the magnitude needs it.
+                let item = p.item as usize;
+                let served = scores[item];
+                let theta_v = m.theta.row(item);
                 let ok = rec.explanation.as_ref().is_some_and(|e| {
+                    let exact_terms = e.terms.len() == query.len()
+                        && e.terms
+                            .iter()
+                            .zip(query.iter().zip(theta_v))
+                            .all(|(t, (a, b))| t.to_bits() == (a * b).to_bits())
+                        && e.prior.to_bits() == m.priors[item].to_bits();
                     let dev = (e.score() - served).abs();
                     let magnitude: f32 =
                         e.terms.iter().map(|t| t.abs()).sum::<f32>() + e.prior.abs();
                     let bound = (e.terms.len() as f32 * f32::EPSILON * magnitude).max(1e-6);
                     explain_dev.push(dev as f64);
-                    dev <= bound
+                    exact_terms && dev <= bound
                 }) && rec.items.first().map(|s| s.score.to_bits())
                     == Some(served.to_bits());
                 report.check(ok, || {
-                    format!("request {}: explain terms do not sum to the served score within FP32 roundoff", p.req.id)
+                    format!("request {}: explain terms are not x_u[j]*theta_v[j] and the prior, or do not sum to the served score within FP32 roundoff", p.req.id)
                 });
             }
             _ => {}
@@ -590,18 +600,46 @@ pub fn run(
     //    a metric alone. ────────────────────────────────────────────────────
     let window = seconds * w.load.serve_share;
     let rounds = w.epochs;
-    let chunk_s = window * BASE_SHARE / rounds as f64;
+    let chunk_s = window * w.load.base_share / rounds as f64;
     let rates = ladder(w);
     let probes = (usize::BITS - rates.len().leading_zeros()) as usize;
     // About half the steps miss and probe twice.
-    let probe_s = window * (1.0 - BASE_SHARE) / (probes as f64 * 1.5);
+    let probe_s = window * (1.0 - w.load.base_share) / (probes as f64 * 1.5);
     let (mut lo, mut hi) = (0usize, rates.len());
     let mut probes_left = probes;
     let mut next_id = 0u64;
-    let (mut base_lat, mut untraced_lat) = (Vec::new(), Vec::new());
+    let (mut base_lat, mut base_late) = (Vec::new(), Vec::new());
     let (mut round_publish_s, mut load_publish_s) = (Vec::new(), Vec::new());
-    let mut traced_phases: Vec<Phase> = Vec::new();
+    let (mut cache_hits, mut cache_lookups) = (0u64, 0u64);
+    let mut base_phases: Vec<Phase> = Vec::new();
     let mut explain_dev = Vec::new();
+    // Warm-up where publishes are timed under load: one publish period of
+    // base-rate traffic, not measured. The first chunk grows the heap, and
+    // publishes inside it took about twice as long as later ones.
+    if let Some(period) = w.load.publish_every_s {
+        let initial = model(
+            w,
+            &data.data,
+            training.x(),
+            training.theta(),
+            noise.as_ref(),
+        );
+        let warm = run_phase(
+            &engine,
+            plan(
+                w,
+                &data.data,
+                &initial,
+                w.load.base_qps,
+                period * 1.25,
+                seed ^ 0x3A53_0000,
+                next_id,
+            ),
+            Some((period, &initial)),
+        );
+        next_id += warm.sent();
+        account(&warm, "warm-up, not measured", true, report);
+    }
     let mut m = None;
     for r in 0..rounds {
         training.epoch(spans.as_deref_mut(), report);
@@ -626,94 +664,45 @@ pub fn run(
         round_publish_s.push(t0.elapsed().as_secs_f64());
         let reference = model.snapshot(0);
         let round_seed = seed ^ (r as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let publish = w.load.publish_every_s.map(|p| (p, &model));
+        // The same base chunk in both modes: tracing builds its spans from
+        // the completions after the phase, so it adds no work while the
+        // chunk is served.
+        let phase = run_phase(
+            &engine,
+            plan(
+                w,
+                &data.data,
+                &model,
+                w.load.base_qps,
+                chunk_s,
+                round_seed,
+                next_id,
+            ),
+            w.load.publish_every_s.map(|p| (p, &model)),
+        );
+        next_id += phase.sent();
+        account(
+            &phase,
+            &format!("round {} base at {} req/s", r + 1, w.load.base_qps),
+            true,
+            report,
+        );
+        check_answers(
+            &phase,
+            &engine,
+            &model,
+            &reference,
+            exact,
+            &mut explain_dev,
+            report,
+        );
+        base_lat.extend_from_slice(&phase.lat_ms);
+        base_late.extend_from_slice(&phase.late_ms);
+        load_publish_s.extend_from_slice(&phase.publish_s);
+        cache_hits += phase.cache_hits;
+        cache_lookups += phase.cache_lookups;
         if spans.is_some() {
-            let half = chunk_s / 2.0;
-            let untraced = run_phase(
-                &engine,
-                plan(
-                    w,
-                    &data.data,
-                    &model,
-                    w.load.base_qps,
-                    half,
-                    round_seed,
-                    next_id,
-                ),
-                None,
-            );
-            next_id += untraced.sent();
-            account(
-                &untraced,
-                &format!("round {} untraced base", r + 1),
-                true,
-                report,
-            );
-            untraced_lat.extend_from_slice(&untraced.lat_ms);
-            base_lat.extend_from_slice(&untraced.lat_ms);
-            let phase = run_phase(
-                &engine,
-                plan(
-                    w,
-                    &data.data,
-                    &model,
-                    w.load.base_qps,
-                    half,
-                    round_seed ^ 0x7ACE,
-                    next_id,
-                ),
-                publish,
-            );
-            next_id += phase.sent();
-            account(
-                &phase,
-                &format!("round {} traced base", r + 1),
-                true,
-                report,
-            );
-            check_answers(
-                &phase,
-                &engine,
-                &model,
-                &reference,
-                exact,
-                &mut explain_dev,
-                report,
-            );
-            base_lat.extend_from_slice(&phase.lat_ms);
-            traced_phases.push(phase);
-        } else {
-            let phase = run_phase(
-                &engine,
-                plan(
-                    w,
-                    &data.data,
-                    &model,
-                    w.load.base_qps,
-                    chunk_s,
-                    round_seed,
-                    next_id,
-                ),
-                publish,
-            );
-            next_id += phase.sent();
-            account(
-                &phase,
-                &format!("round {} base at {} req/s", r + 1, w.load.base_qps),
-                true,
-                report,
-            );
-            base_lat.extend_from_slice(&phase.lat_ms);
-            load_publish_s.extend_from_slice(&phase.publish_s);
-            check_answers(
-                &phase,
-                &engine,
-                &model,
-                &reference,
-                exact,
-                &mut explain_dev,
-                report,
-            );
+            base_phases.push(phase);
         }
         // Capacity: the next steps of a binary search over the fixed
         // ladder for the highest rate whose p99 meets the limit with no
@@ -790,13 +779,33 @@ pub fn run(
         quantile(&base_lat, 0.5),
         n / 100
     ));
+    // Passing the top rate only bounds capacity from below.
+    let censored = lo == rates.len();
     report.note(format!(
-        "capacity {capacity} req/s: highest of {} fixed rates ({}..{} req/s) with p99 <= {SLO_MS} ms and no growing backlog; \
-         {probes} search steps, probes of {probe_s:.2} s, a miss confirmed by a second probe",
+        "capacity {}{capacity} req/s: highest of {} fixed rates ({}..{} req/s) with p99 <= {SLO_MS} ms and no growing backlog; \
+         {probes} search steps, probes of {probe_s:.2} s, a miss confirmed by a second probe; \
+         the base rate {} req/s is {}{:.0}% of it",
+        if censored { "at least " } else { "" },
         rates.len(),
         rates[0],
-        rates[rates.len() - 1]
+        rates[rates.len() - 1],
+        w.load.base_qps,
+        if censored { "at most " } else { "" },
+        100.0 * w.load.base_qps / capacity
     ));
+    report.note(format!(
+        "cache: {cache_hits} hits of {cache_lookups} lookups ({:.1}%) over the base-rate phases",
+        100.0 * cache_hits as f64 / cache_lookups.max(1) as f64
+    ));
+    // The end-to-end latencies come from the base-rate phases, so a
+    // generator that fell behind there makes the whole run invalid.
+    let late_p99 = quantile(&base_late, 0.99);
+    if late_p99 > LATE_LIMIT_SHARE * SLO_MS {
+        report.invalid.push(format!(
+            "the load generator fell behind: late p99 {late_p99:.3} ms over the base-rate phases exceeds {} ms",
+            LATE_LIMIT_SHARE * SLO_MS
+        ));
+    }
     match spans {
         None => {
             report.e2e("serve_p50_ms", quantile(&base_lat, 0.5), "ms", HOST);
@@ -820,8 +829,14 @@ pub fn run(
             }
         }
         Some(spans) => {
-            per_layer(&traced_phases, &untraced_lat, &engine, spans, report);
-            let last = traced_phases.last().expect("at least one traced phase");
+            per_layer(
+                &base_phases,
+                chunk_s * rounds as f64,
+                &engine,
+                spans,
+                report,
+            );
+            let last = base_phases.last().expect("at least one base phase");
             direct_timings(w, &data.data, &m, &engine, last, spans, report);
         }
     }
@@ -843,40 +858,36 @@ pub fn run(
     }
 }
 
-/// Account a phase's operations and flag a generator that fell behind.
+/// Account a phase's operations and note how late the generator sent.
 fn account(phase: &Phase, label: &str, base: bool, report: &mut Report) {
     report.attempted += phase.sent();
     report.failed += phase.errors + if base { phase.refused } else { 0 };
-    let late_p99 = quantile(&phase.late_ms, 0.99);
     report.note(format!(
-        "{label}: {} sent, {} served, {} typed errors, {} refused; generator late p99 {late_p99:.3} ms{}",
+        "{label}: {} sent, {} served, {} typed errors, {} refused; generator late p99 {:.3} ms",
         phase.sent(),
         phase.sent() - phase.errors - phase.refused,
         phase.errors,
         phase.refused,
-        if late_p99 > LATE_LIMIT_SHARE * SLO_MS {
-            " — INVALID: the load generator fell behind"
-        } else {
-            ""
-        }
+        quantile(&phase.late_ms, 0.99)
     ));
 }
 
 /// Per-layer serving metrics over the traced phases: spans from the
 /// generator's submits and from each completion's stage breakdown (moved
 /// from the engine clock to the span clock), stage percentiles, admission
-/// and cache ratios, and the tracing overhead against the untraced phases.
+/// and cache ratios, and the host time spent building the spans as a share
+/// of the `served_s` seconds the phases were scheduled to take.
 fn per_layer(
     phases: &[Phase],
-    untraced_lat: &[f64],
+    served_s: f64,
     engine: &ServeEngine,
     spans: &mut Spans,
     report: &mut Report,
 ) {
+    let started = Instant::now();
     let offset = spans.now() - engine.now();
     let mut stages: [Vec<f64>; 6] = Default::default();
-    let (mut service, mut cold_foldin, mut late, mut lat) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut service, mut cold_foldin, mut late) = (Vec::new(), Vec::new(), Vec::new());
     let (mut batches, mut admitted, mut by_age) = (0u64, 0u64, 0u64);
     let (mut hits, mut lookups) = (0u64, 0u64);
     for phase in phases {
@@ -886,7 +897,6 @@ fn per_layer(
         hits += phase.cache_hits;
         lookups += phase.cache_lookups;
         late.extend_from_slice(&phase.late_ms);
-        lat.extend_from_slice(&phase.lat_ms);
         for (i, (p, c)) in phase.plan.iter().zip(&phase.completions).enumerate() {
             let due = phase.origin + p.at + offset;
             let id = Some(p.req.id);
@@ -934,6 +944,7 @@ fn per_layer(
             }
         }
     }
+    let tracing_s = started.elapsed().as_secs_f64();
     let [queue, cache, _foldin, score, merge, _respond] = &stages;
     report.layer(
         "serve.admission.queue_wait_ms.p50",
@@ -1001,16 +1012,16 @@ fn per_layer(
         "ms",
         HOST,
     );
-    let (p50_a, p50_b) = (quantile(untraced_lat, 0.5), quantile(&lat, 0.5));
     report.layer(
         "bench.trace.overhead_ratio",
-        (p50_b - p50_a) / p50_a,
+        tracing_s / served_s,
         "ratio",
         HOST,
     );
     report.note(format!(
         "stage percentiles over {} traced requests; queue wait counts from the scheduled send, so it includes generator lateness; \
-         overhead ratio = (traced p50 {p50_b:.3} ms - untraced p50 {p50_a:.3} ms) / untraced",
+         tracing spent {tracing_s:.4} s building spans after the phases, outside the {served_s:.1} s they were timed over, \
+         so it adds 0 to the served latencies",
         service.len()
     ));
 }
