@@ -1,18 +1,20 @@
 //! One benchmark for the ALS trainer and the serving stack.
 //!
 //! ```text
-//! python3 perfbench/run.py --workload serve-ann --seed 1 --seconds 20 --trace 0
+//! python3 perfbench/run.py --workload serve-ann --seed 1 --seconds 50 --trace 0
 //! ```
 //!
 //! Every workload runs the same pipeline — synthesize a Netflix replica,
-//! build a `ServeEngine`, then per epoch: train it with ALS, publish the
-//! model, drive it open-loop at a fixed base rate and probe a fixed rate
-//! ladder — and checks the answers it got. The workloads differ
-//! in shape, so a different layer dominates each (see `workloads.rs`).
+//! build a `ServeEngine`, then until `--seconds` are spent: train an ALS
+//! epoch (repeating a fixed-length fit), publish the model and drive it
+//! open-loop at a fixed base rate — and checks the answers it got. The
+//! workloads differ in shape, so a different layer dominates each (see
+//! `workloads.rs`).
 //!
 //! `--trace 0` prints the end-to-end metrics; `--trace 1` is a separate
-//! run that replays one epoch and the base-rate traffic with spans around
-//! each layer and prints the per-layer metrics. The last stdout line is
+//! run that also replays one epoch layer by layer, probes a fixed rate
+//! ladder for capacity, builds spans from the base-rate traffic and prints
+//! the per-layer metrics. The last stdout line is
 //! one JSON object: `{"correct", "attempted", "failed", "metrics"}`. The
 //! exit code is 1 when an answer was wrong and 5 when the run is invalid
 //! because the load generator fell behind.

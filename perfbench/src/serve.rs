@@ -6,7 +6,7 @@ use crate::spans::{Clock, Spans};
 use crate::stats::{mean, median, quantile, Gauss};
 use crate::train::{Data, Training};
 use crate::workloads::{
-    ladder, Catalog, Users, Workload, CHECKS_PER_KIND, K, LATE_LIMIT_SHARE, RECALL_USERS,
+    ladder, Catalog, Users, Workload, CHECKS_PER_KIND, K, LATE_LIMIT_SHARE, MIN_FITS, RECALL_USERS,
     SETUP_REPS, SLATE, SLO_MS,
 };
 use crate::{Report, Source};
@@ -27,8 +27,6 @@ use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 const HOST: Source = Source::Clock(Clock::Host);
-/// How long before a send the generator stops sleeping and spins.
-const SPIN_S: f64 = 0.002;
 /// Requests per traced phase whose spans are kept; every request still
 /// counts in the per-layer percentiles.
 const SPANNED_REQUESTS: usize = 1000;
@@ -293,19 +291,12 @@ fn run_phase(
         });
         for (i, p) in plan.iter().enumerate() {
             let due = origin + p.at;
-            // Sleep until shortly before the send time, then spin: a
-            // sleeping thread on an idle virtual CPU can wake milliseconds
-            // late, and that lateness would be charged to the server.
-            loop {
-                let wait = due - engine.now();
-                if wait <= 0.0 {
-                    break;
-                }
-                if wait > SPIN_S {
-                    std::thread::sleep(Duration::from_secs_f64(wait - SPIN_S));
-                } else {
-                    std::thread::yield_now();
-                }
+            // Spin until the send time, yielding to any runnable thread: a
+            // sleeping thread lets its virtual CPU go idle, an idle virtual
+            // CPU on a shared host woke up to 18 ms late, and that lateness
+            // would be charged to the server.
+            while engine.now() < due {
+                std::thread::yield_now();
             }
             late_ms[i] = (engine.now() - due).max(0.0) * 1e3;
             match queue.try_submit(p.req.clone(), due) {
@@ -594,29 +585,12 @@ pub fn run(
     let id = engine.registry().default_model();
     let exact = matches!(w.retrieval, Retrieval::Exact);
 
-    // ── Rounds: train an epoch, publish it, serve a base-rate chunk and
-    //    (timed run) take the next capacity probes. Spreading every sample
-    //    over the whole run keeps a slow stretch of the host from deciding
-    //    a metric alone. ────────────────────────────────────────────────────
-    let window = seconds * w.load.serve_share;
-    let rounds = w.epochs;
-    let chunk_s = window * w.load.base_share / rounds as f64;
-    let rates = ladder(w);
-    let probes = (usize::BITS - rates.len().leading_zeros()) as usize;
-    // About half the steps miss and probe twice.
-    let probe_s = window * (1.0 - w.load.base_share) / (probes as f64 * 1.5);
-    let (mut lo, mut hi) = (0usize, rates.len());
-    let mut probes_left = probes;
+    // ── Warm-up: one base chunk, not measured. The first chunk of a
+    //    process grows the heap; publishes inside it took about twice as
+    //    long as later ones. ─────────────────────────────────────────────
+    let chunk_s = w.load.chunk_s;
     let mut next_id = 0u64;
-    let (mut base_lat, mut base_late) = (Vec::new(), Vec::new());
-    let (mut round_publish_s, mut load_publish_s) = (Vec::new(), Vec::new());
-    let (mut cache_hits, mut cache_lookups) = (0u64, 0u64);
-    let mut base_phases: Vec<Phase> = Vec::new();
-    let mut explain_dev = Vec::new();
-    // Warm-up where publishes are timed under load: one publish period of
-    // base-rate traffic, not measured. The first chunk grows the heap, and
-    // publishes inside it took about twice as long as later ones.
-    if let Some(period) = w.load.publish_every_s {
+    {
         let initial = model(
             w,
             &data.data,
@@ -631,17 +605,38 @@ pub fn run(
                 &data.data,
                 &initial,
                 w.load.base_qps,
-                period * 1.25,
+                chunk_s,
                 seed ^ 0x3A53_0000,
                 next_id,
             ),
-            Some((period, &initial)),
+            w.load.publish_every_s.map(|p| (p, &initial)),
         );
         next_id += warm.sent();
         account(&warm, "warm-up, not measured", true, report);
     }
+
+    // ── Rounds until `seconds` are spent: train an epoch, publish it, serve
+    //    a base-rate chunk and check its answers. Fits run whole, so the
+    //    run ends on a fit's last epoch; the next fit starts while at
+    //    least half of it fits before the deadline, or while fewer than
+    //    `MIN_FITS` are complete. The medians over many short samples keep
+    //    a slow stretch of the host from deciding a metric alone. ─────────
+    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+    let mut round_s = Vec::new();
+    let (mut base_lat, mut base_late) = (Vec::new(), Vec::new());
+    let (mut round_publish_s, mut load_publish_s) = (Vec::new(), Vec::new());
+    let (mut cache_hits, mut cache_lookups) = (0u64, 0u64);
+    let mut base_phases: Vec<Phase> = Vec::new();
+    let mut explain_dev = Vec::new();
     let mut m = None;
-    for r in 0..rounds {
+    for r in 0.. {
+        if training.at_fit_start() && training.fits() >= MIN_FITS {
+            let half_fit = median(&round_s) * w.fit_epochs as f64 / 2.0;
+            if Instant::now() + Duration::from_secs_f64(half_fit) > deadline {
+                break;
+            }
+        }
+        let started = Instant::now();
         training.epoch(spans.as_deref_mut(), report);
         let model = model(
             w,
@@ -665,7 +660,7 @@ pub fn run(
         let reference = model.snapshot(0);
         let round_seed = seed ^ (r as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         // The same base chunk in both modes: tracing builds its spans from
-        // the completions after the phase, so it adds no work while the
+        // the completions after the run, so it adds no work while the
         // chunk is served.
         let phase = run_phase(
             &engine,
@@ -704,53 +699,55 @@ pub fn run(
         if spans.is_some() {
             base_phases.push(phase);
         }
-        // Capacity: the next steps of a binary search over the fixed
-        // ladder for the highest rate whose p99 meets the limit with no
-        // growing backlog. A rate misses only when a second probe at it
-        // misses too, so one host stall cannot end the search early.
-        let take = probes_left.div_ceil(rounds - r);
-        probes_left -= take;
-        for _ in 0..take {
-            if lo >= hi {
+        m = Some(model);
+        round_s.push(started.elapsed().as_secs_f64());
+    }
+    let rounds = round_s.len();
+    let m = m.expect("at least one round");
+
+    // ── Capacity (traced runs only): a binary search over the fixed
+    //    ladder for the highest rate whose p99 meets the limit with no
+    //    growing backlog. A rate misses only when a second probe at it
+    //    misses too, so one host stall cannot end the search early. ──────
+    let rates = ladder(w);
+    let (mut lo, mut hi) = (0usize, rates.len());
+    let mut probes = 0;
+    while spans.is_some() && lo < hi {
+        let mid = (lo + hi) / 2;
+        let mut pass = false;
+        for attempt in 0..2u64 {
+            let seed = seed ^ (0x1ADD_E500 + mid as u64) ^ (attempt << 32);
+            let plan = plan(w, &data.data, &m, rates[mid], w.load.probe_s, seed, next_id);
+            next_id += plan.len() as u64;
+            let probe = run_phase(&engine, plan, None);
+            probes += 1;
+            account(
+                &probe,
+                &format!("ladder {} req/s", rates[mid]),
+                false,
+                report,
+            );
+            let p99 = quantile(&probe.lat_ms, 0.99);
+            let tail = &probe.lat_ms[probe.lat_ms.len() * 9 / 10..];
+            let backlog = mean(tail) > SLO_MS;
+            pass = p99 <= SLO_MS && !backlog;
+            eprintln!(
+                "ladder {:>8} req/s: p99 {p99:.3} ms over {} requests{}{}",
+                rates[mid],
+                probe.lat_ms.len(),
+                if backlog { ", backlog growing" } else { "" },
+                if pass { " — pass" } else { " — miss" }
+            );
+            if pass {
                 break;
             }
-            let mid = (lo + hi) / 2;
-            let mut pass = false;
-            for attempt in 0..2u64 {
-                let seed = round_seed ^ (0x1ADD_E500 + mid as u64) ^ (attempt << 32);
-                let plan = plan(w, &data.data, &model, rates[mid], probe_s, seed, next_id);
-                next_id += plan.len() as u64;
-                let probe = run_phase(&engine, plan, None);
-                account(
-                    &probe,
-                    &format!("ladder {} req/s", rates[mid]),
-                    false,
-                    report,
-                );
-                let p99 = quantile(&probe.lat_ms, 0.99);
-                let tail = &probe.lat_ms[probe.lat_ms.len() * 9 / 10..];
-                let backlog = mean(tail) > SLO_MS;
-                pass = p99 <= SLO_MS && !backlog;
-                eprintln!(
-                    "ladder {:>8} req/s: p99 {p99:.3} ms over {} requests{}{}",
-                    rates[mid],
-                    probe.lat_ms.len(),
-                    if backlog { ", backlog growing" } else { "" },
-                    if pass { " — pass" } else { " — miss" }
-                );
-                if pass {
-                    break;
-                }
-            }
-            if pass {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
         }
-        m = Some(model);
+        if pass {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
     }
-    let m = m.expect("at least one round");
     training.finish(report);
     report_explain(&explain_dev, report);
     let catalog_bytes = (m.theta.rows() * m.theta.cols() * 4) as u64;
@@ -766,40 +763,50 @@ pub fn run(
         m.x.rows()
     ));
 
-    // p99 and capacity are per-layer metrics, not gated: on a shared
-    // 2-vCPU host their run-to-run spread exceeds any usable bound.
+    // Serving latency and capacity are per-layer metrics, not gated: on a
+    // shared 2-vCPU host their run-to-run spread exceeds any usable bound.
     let n = base_lat.len();
     let p99 = quantile(&base_lat, 0.99);
-    let capacity = if lo == 0 { 0.0 } else { rates[lo - 1] };
+    report.layer("serve_p50_ms", quantile(&base_lat, 0.5), "ms", HOST);
     report.layer("serve_p99_ms", p99, "ms", HOST);
-    report.layer("serve_capacity_qps", capacity, "req/s", HOST);
     report.note(format!(
         "p50 {:.3} ms and p99 {p99:.3} ms over all {n} base-rate requests of {rounds} rounds ({} beyond p99), \
          timed from each scheduled send",
         quantile(&base_lat, 0.5),
         n / 100
     ));
-    // Passing the top rate only bounds capacity from below.
-    let censored = lo == rates.len();
-    report.note(format!(
-        "capacity {}{capacity} req/s: highest of {} fixed rates ({}..{} req/s) with p99 <= {SLO_MS} ms and no growing backlog; \
-         {probes} search steps, probes of {probe_s:.2} s, a miss confirmed by a second probe; \
-         the base rate {} req/s is {}{:.0}% of it",
-        if censored { "at least " } else { "" },
-        rates.len(),
-        rates[0],
-        rates[rates.len() - 1],
-        w.load.base_qps,
-        if censored { "at most " } else { "" },
-        100.0 * w.load.base_qps / capacity
-    ));
+    if spans.is_some() {
+        let capacity = if lo == 0 { 0.0 } else { rates[lo - 1] };
+        report.layer("serve_capacity_qps", capacity, "req/s", HOST);
+        // Passing the top rate only bounds capacity from below.
+        let censored = lo == rates.len();
+        report.note(format!(
+            "capacity {}{capacity} req/s: highest of {} fixed rates ({}..{} req/s) with p99 <= {SLO_MS} ms and no growing backlog; \
+             {probes} probes of {:.2} s, a miss confirmed by a second probe; \
+             the base rate {} req/s is {}{:.0}% of it",
+            if censored { "at least " } else { "" },
+            rates.len(),
+            rates[0],
+            rates[rates.len() - 1],
+            w.load.probe_s,
+            w.load.base_qps,
+            if censored { "at most " } else { "" },
+            100.0 * w.load.base_qps / capacity
+        ));
+    }
     report.note(format!(
         "cache: {cache_hits} hits of {cache_lookups} lookups ({:.1}%) over the base-rate phases",
         100.0 * cache_hits as f64 / cache_lookups.max(1) as f64
     ));
-    // The end-to-end latencies come from the base-rate phases, so a
-    // generator that fell behind there makes the whole run invalid.
+    // The latencies and the publishes under load come from the base-rate
+    // phases, so a generator that fell behind there makes the whole run
+    // invalid.
     let late_p99 = quantile(&base_late, 0.99);
+    report.note(format!(
+        "generator late p99 {late_p99:.3} ms over all {} base-rate sends; the run is invalid above {} ms",
+        base_late.len(),
+        LATE_LIMIT_SHARE * SLO_MS
+    ));
     if late_p99 > LATE_LIMIT_SHARE * SLO_MS {
         report.invalid.push(format!(
             "the load generator fell behind: late p99 {late_p99:.3} ms over the base-rate phases exceeds {} ms",
@@ -808,7 +815,6 @@ pub fn run(
     }
     match spans {
         None => {
-            report.e2e("serve_p50_ms", quantile(&base_lat, 0.5), "ms", HOST);
             let (publish_s, how) = if load_publish_s.is_empty() {
                 (round_publish_s, "one per epoch, between phases")
             } else {
@@ -858,16 +864,28 @@ pub fn run(
     }
 }
 
-/// Account a phase's operations and note how late the generator sent.
+/// Account a phase's operations and note its median latency, split into
+/// queue wait and service, and how late the generator sent.
 fn account(phase: &Phase, label: &str, base: bool, report: &mut Report) {
     report.attempted += phase.sent();
     report.failed += phase.errors + if base { phase.refused } else { 0 };
+    let done = || phase.completions.iter().flatten();
+    let queue: Vec<f64> = done()
+        .map(|c| (c.admitted_at - c.submitted_at) * 1e3)
+        .collect();
+    let service: Vec<f64> = done()
+        .map(|c| (c.finished_at - c.admitted_at) * 1e3)
+        .collect();
     report.note(format!(
-        "{label}: {} sent, {} served, {} typed errors, {} refused; generator late p99 {:.3} ms",
+        "{label}: {} sent, {} served, {} typed errors, {} refused; p50 {:.3} ms, queue wait p50 {:.3} ms, \
+         service p50 {:.3} ms; generator late p99 {:.3} ms",
         phase.sent(),
         phase.sent() - phase.errors - phase.refused,
         phase.errors,
         phase.refused,
+        quantile(&phase.lat_ms, 0.5),
+        quantile(&queue, 0.5),
+        quantile(&service, 0.5),
         quantile(&phase.late_ms, 0.99)
     ));
 }

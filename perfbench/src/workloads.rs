@@ -1,4 +1,4 @@
-//! The benchmark's three workloads and every constant they run with.
+//! The benchmark's two workloads and every constant they run with.
 //!
 //! Rates, ladders, shapes and mixes are fixed here, identical on every
 //! commit the benchmark compares; nothing is recalibrated per run.
@@ -12,7 +12,9 @@ pub const SLO_MS: f64 = 25.0;
 /// this share of [`SLO_MS`].
 pub const LATE_LIMIT_SHARE: f64 = 0.5;
 /// Set-up repetitions per run; `setup_s` is their median.
-pub const SETUP_REPS: usize = 3;
+pub const SETUP_REPS: usize = 5;
+/// Fits a run completes however short `--seconds` are.
+pub const MIN_FITS: usize = 2;
 /// Items per top-k answer.
 pub const K: usize = 10;
 /// Ratio between neighbouring ladder rates.
@@ -71,19 +73,20 @@ pub const TOPK_ONLY: Mix = Mix {
     explain: 0.0,
 };
 
-/// Open-loop load: base rate and capacity ladder.
+/// Open-loop load: base rate, capacity ladder and the writes beside it.
 #[derive(Clone, Copy, Debug)]
 pub struct Load {
     pub base_qps: f64,
-    pub ladder_lo: f64,
-    /// Multiple of `--seconds` the serving phases take.
-    pub serve_share: f64,
-    /// Share of the serving window spent at the base rate; the ladder
-    /// search gets the rest.
-    pub base_share: f64,
-    /// `Some(period)`: also publish a new epoch every `period` seconds during
-    /// the base phases, and report those publishes.
+    /// Seconds of base-rate traffic served after each training epoch.
+    pub chunk_s: f64,
+    /// `Some(period)`: also publish a new epoch of the served factors every
+    /// `period` seconds of each base chunk while reads continue; those are
+    /// the publishes `publish_s` reports. `None`: `publish_s` reports the
+    /// publish of each epoch's model between phases.
     pub publish_every_s: Option<f64>,
+    pub ladder_lo: f64,
+    /// Seconds of one capacity probe (traced runs only).
+    pub probe_s: f64,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -93,9 +96,10 @@ pub struct Workload {
     /// Latent dimension of the fit (Netflix replica, `SizeClass::Small`,
     /// cuMF default solver).
     pub f: usize,
-    /// Fixed epoch count of the fit; each epoch is one round of publish,
-    /// base-rate chunk and capacity probes.
-    pub epochs: usize,
+    /// Fixed epoch count of one fit. A run repeats the fit from the same
+    /// initial factors until `--seconds` are spent, and serves each epoch's
+    /// model before training the next.
+    pub fit_epochs: usize,
     pub catalog: Catalog,
     pub users: Users,
     pub mix: Mix,
@@ -106,35 +110,14 @@ pub struct Workload {
     pub load: Load,
 }
 
-pub const WORKLOADS: [Workload; 3] = [
+pub const WORKLOADS: [Workload; 2] = [
     Workload {
-        name: "als-netflix",
-        why: "get_hermitian is ~3/4 of the f=100 host epoch, so kernel and row-threading changes show in train_epoch_s and train_to_target_s; serving a 500-item catalog is light.",
+        name: "als-mixed",
+        why: "f=100 ALS fits (get_hermitian ~3/4 of the epoch) move train_epoch_s and train_to_target_s; five endpoints, cache, fold-in and publishes under load move publish_s and serve_p50_ms (per-layer).",
         f: 100,
-        epochs: 3,
-        catalog: Catalog::Trained,
-        users: Users::Skewed,
-        mix: TOPK_ONLY,
-        retrieval: Retrieval::Exact,
-        ann: AnnParams {
-            k_clusters: 64,
-            seed: 0x5EED_C1C5,
-            max_iters: 10,
-        },
-        shards: Some(1),
-        load: Load {
-            base_qps: 1_000.0,
-            ladder_lo: 16_000.0,
-            serve_share: 0.5,
-            base_share: 0.5,
-            publish_every_s: None,
-        },
-    },
-    Workload {
-        name: "serve-mixed",
-        why: "five endpoints on a 500-item f=48 model, skewed users, publishes under load: queue wait, cache and fold-in set serve_p50_ms, and publish_s is timed under load.",
-        f: 48,
-        epochs: 4,
+        // Test RMSE falls below the 0.92 target at epoch 2 (0.84-0.85 over
+        // every seed tried), so each fit reaches it at its last epoch.
+        fit_epochs: 2,
         catalog: Catalog::Trained,
         users: Users::Skewed,
         // No traffic mix is measured anywhere in the repository, so these
@@ -156,24 +139,25 @@ pub const WORKLOADS: [Workload; 3] = [
         },
         shards: Some(1),
         // The base rate is the one the committed `BENCH_serve.json` was
-        // measured at, a few percent of this workload's capacity. A
-        // publish every 2 s gives each epoch up to 8000 requests for the
-        // cache to answer, about half of its lookups. Three quarters of
-        // the window go to the base rate so that two publishes fall in
-        // each round.
+        // measured at, a few percent of this workload's capacity. Each
+        // round publishes its epoch, then twice more under load, 1 s and
+        // 2 s into its 2.5 s chunk: about 15 publishes under load per run,
+        // two every 6-7 s of wall time with the epoch trained between
+        // chunks. Every publish starts a new cache epoch, so the cache
+        // answers about 35 % of its lookups.
         load: Load {
             base_qps: 4_000.0,
+            chunk_s: 2.5,
+            publish_every_s: Some(1.0),
             ladder_lo: 16_000.0,
-            serve_share: 1.5,
-            base_share: 0.75,
-            publish_every_s: Some(2.0),
+            probe_s: 0.6,
         },
     },
     Workload {
         name: "serve-ann",
         why: "a 1e5 x 64 catalog, uniform users, two-stage retrieval (32 clusters, 10 probed, int8): scoring blocks every request, serve::ann runs and recall_at_10 can move.",
         f: 64,
-        epochs: 2,
+        fit_epochs: 2,
         catalog: Catalog::Expanded {
             items: 100_000,
             users: 100_000,
@@ -194,12 +178,14 @@ pub const WORKLOADS: [Workload; 3] = [
             max_iters: 4,
         },
         shards: None,
+        // About half of the measured capacity (70-80 req/s), so queueing
+        // does not decide the median.
         load: Load {
-            base_qps: 60.0,
-            ladder_lo: 30.0,
-            serve_share: 2.0,
-            base_share: 0.5,
+            base_qps: 40.0,
+            chunk_s: 2.0,
             publish_every_s: None,
+            ladder_lo: 30.0,
+            probe_s: 2.0,
         },
     },
 ];
