@@ -40,7 +40,9 @@ impl From<std::io::Error> for LoadError {
 /// Parse `user item rating` triplets from a reader. Separators may be
 /// whitespace or `::`; lines starting with `#` or `%` are comments. User
 /// and item ids may be arbitrary (possibly sparse) non-negative integers;
-/// they are densified to `0..m`, `0..n` in first-seen order.
+/// they are densified to `0..m`, `0..n` in first-seen order. A non-finite
+/// rating (`nan`, `inf`) is a [`LoadError::Parse`] at its line: one NaN
+/// would poison every factor it touches.
 pub fn parse_ratings<R: BufRead>(reader: R) -> Result<CooMatrix, LoadError> {
     let mut triplets: Vec<(u64, u64, f32)> = Vec::new();
     for (idx, line) in reader.lines().enumerate() {
@@ -55,7 +57,7 @@ pub fn parse_ratings<R: BufRead>(reader: R) -> Result<CooMatrix, LoadError> {
             let u: u64 = parts.next()?.parse().ok()?;
             let v: u64 = parts.next()?.parse().ok()?;
             let r: f32 = parts.next()?.parse().ok()?;
-            Some((u, v, r))
+            r.is_finite().then_some((u, v, r))
         })();
         match parsed {
             Some(t) => triplets.push(t),
@@ -146,6 +148,14 @@ mod tests {
         assert_eq!(m.entries()[0].row, 0); // user 100 → 0
         assert_eq!(m.entries()[1].row, 1); // user 3 → 1
         assert_eq!(m.entries()[2].col, 1); // item 9 → 1
+    }
+
+    #[test]
+    fn rejects_non_finite_ratings_with_their_line_number() {
+        let err = parse_ratings(Cursor::new("1 1 nan\n2 1 inf\n1 2 4.0\n")).unwrap_err();
+        assert!(matches!(err, LoadError::Parse { line: 1, .. }), "{err}");
+        let err = parse_ratings(Cursor::new("1 1 4.0\n2 1 inf\n")).unwrap_err();
+        assert!(matches!(err, LoadError::Parse { line: 2, ref text } if text == "2 1 inf"));
     }
 
     #[test]

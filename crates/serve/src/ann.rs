@@ -18,9 +18,10 @@
 //!    the FP32 bytes — and only the surviving shortlist is rescored
 //!    exactly in FP32 before the final merge.
 //!
-//! Both structures are immutable once built and ride inside
-//! [`crate::store::ModelSnapshot`], so the store's publish/swap semantics
-//! and the sharded scatter-gather path carry them for free. Everything is
+//! Both structures are immutable once built. The int8 copy rides inside
+//! [`crate::store::ModelSnapshot`] and is encoded once per epoch; the
+//! sharded store builds one centroid index per shard over that shard's
+//! item range, so no full-catalog index is kept beside them. Everything is
 //! deterministic: k-means uses a fixed seed and iteration cap, ties break
 //! toward lower indices, and member lists are in ascending item order —
 //! so the approximate path is as reproducible as the exact one.
@@ -85,9 +86,9 @@ pub struct AnnPolicy {
     pub int8: bool,
 }
 
-/// A k-means clustering of the item factors, stored inside the snapshot
-/// it was built from: `k` centroid rows plus the item ids of each cluster
-/// in one flat, offset-indexed member array.
+/// A k-means clustering of item factors (a snapshot's, or one shard's
+/// range): `k` centroid rows plus the item ids of each cluster in one
+/// flat, offset-indexed member array.
 ///
 /// ```
 /// use cumf_numeric::dense::DenseMatrix;
@@ -126,10 +127,19 @@ impl CentroidIndex {
     /// its previous centroid, so `k` never silently shrinks below the
     /// clamped value.
     pub fn build(items: &DenseMatrix, params: AnnParams) -> CentroidIndex {
-        let n = items.rows();
-        let f = items.cols();
+        CentroidIndex::build_rows(items.as_slice(), items.rows(), items.cols(), params)
+    }
+
+    /// [`CentroidIndex::build`] over `n` borrowed row-major rows (a
+    /// shard's range); member ids are range-local.
+    pub(crate) fn build_rows(
+        theta: &[f32],
+        n: usize,
+        f: usize,
+        params: AnnParams,
+    ) -> CentroidIndex {
+        debug_assert_eq!(theta.len(), n * f);
         let k = params.k_clusters.clamp(1, n.max(1));
-        let theta = items.as_slice();
 
         // Deterministic init: shuffle item ids, take the first k as seeds.
         let mut order: Vec<usize> = (0..n).collect();

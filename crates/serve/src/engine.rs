@@ -955,19 +955,18 @@ impl ServeEngine {
                 item_scatters.push((*slot, scatter));
             }
             if let Some(q) = user_query_batches.get(slot) {
-                // The user side always scans exactly in FP32: X carries no
-                // FP16/int8/centroid sidecars, and building them per batch
-                // would cost more than the scan they would save.
-                let user_cfg = ScoreConfig {
-                    retrieval: Retrieval::Exact,
-                    use_fp16: false,
-                    ..self.cfg.score
-                };
+                // A per-batch view over the same `X` the group holds —
+                // sharding it copies no rows. It carries no FP16/int8/
+                // centroid sidecars, so any dial scans it exactly in FP32.
+                let users_view = ShardedSnapshot::build(
+                    ModelSnapshot::shared(0, Arc::clone(&group.user_factors), vec![]),
+                    group.entry.store.n_shards(),
+                );
                 let scatter = scatter_top_k(
-                    &group.entry.user_side_snapshot(),
+                    &users_view,
                     q,
                     self.cfg.k + 1,
-                    &user_cfg,
+                    &self.cfg.score,
                     &NOOP,
                     self.now(),
                 );
@@ -1166,26 +1165,18 @@ impl ServeEngine {
         m.ann_probed.add(trace.ann_probed);
         m.ann_candidates.add(trace.ann_candidates);
         m.ann_rescored.add(trace.ann_rescored);
-        // FP16 was asked for but a snapshot without an FP16 copy scanned
-        // in FP32: count the silently-widened requests per model.
-        if self.cfg.score.use_fp16 {
-            for group in groups.values() {
-                let scans = group.to_score.len() + group.similar_items.len();
-                if scans > 0 && !group.snapshot.full().has_fp16() {
-                    group.entry.metrics.fp16_fallback.add(scans as u64);
-                }
-            }
-        }
-        // Approx retrieval was asked for but a snapshot without a centroid
-        // index scanned exactly: count the silently-exact requests per
-        // model (rare — the registry's policy attaches the index — but a
+        // A dial the snapshot cannot honour is counted per model, never
+        // silent: FP16 asked for but no FP16 copy (scanned in FP32), or
+        // approx asked for but a shard without a centroid index (scanned
+        // exactly — rare, the registry's policy builds the indices, but a
         // recall dial that silently reads 4× the bytes must be visible).
-        if approx {
-            for group in groups.values() {
-                let scans = group.to_score.len() + group.similar_items.len();
-                if scans > 0 && !group.snapshot.full().has_ann() {
-                    group.entry.metrics.ann_fallback.add(scans as u64);
-                }
+        for group in groups.values() {
+            let scans = (group.to_score.len() + group.similar_items.len()) as u64;
+            if scans > 0 && self.cfg.score.use_fp16 && !group.snapshot.has_fp16() {
+                group.entry.metrics.fp16_fallback.add(scans);
+            }
+            if scans > 0 && approx && !group.snapshot.has_ann() {
+                group.entry.metrics.ann_fallback.add(scans);
             }
         }
         if let Some(default) = table.entries.get(table.router.default_model()) {
@@ -1637,7 +1628,11 @@ mod tests {
         // The builder-derived policy attached both sidecars.
         let id = approx.registry().default_model();
         let held = approx.registry().snapshot(&id).unwrap();
-        assert!(held.full().has_ann() && held.full().has_int8());
+        assert!(held.full().has_int8());
+        assert!(held
+            .shards()
+            .iter()
+            .all(|s| s.ann.as_ref().is_some_and(|i| i.k_clusters() == 16)));
         let reqs = known(&[0, 1, 2, 3]);
         let (want, te) = exact.recommend_batch_traced(&reqs, &NOOP);
         let (got, ta) = approx.recommend_batch_traced(&reqs, &NOOP);
@@ -1684,13 +1679,46 @@ mod tests {
             .publish(&id, ModelSnapshot::new(1, theta, vec![]))
             .unwrap();
         let held = e.registry().snapshot(&id).unwrap();
-        assert!(held.full().has_ann() && held.full().has_int8());
+        assert!(held.full().has_int8());
+        assert!(held
+            .shards()
+            .iter()
+            .all(|s| s.ann.as_ref().is_some_and(|i| i.k_clusters() == 16)));
         let (_, trace) = e.recommend_batch_traced(&known(&[0, 1]), &NOOP);
         assert!(trace.ann_probed > 0);
         assert_eq!(
             e.obs().metrics().model("default").ann_fallback.get(),
             0,
             "policy-completed snapshots never fall back"
+        );
+    }
+
+    #[test]
+    fn approx_registry_holds_each_encoding_once() {
+        let e = engine(12, 90, 4, approx_config(2).with_shards(3));
+        let out = e.recommend_batch(&[Request::similar_users(1, 0)], &NOOP);
+        assert_eq!(out[0].as_ref().unwrap().items.len(), 10);
+        let report = e.registry().footprint().flatten();
+        let leaves = |suffix: &str| -> Vec<&str> {
+            let named = report.iter().filter(|(p, _)| p.ends_with(suffix));
+            named.map(|(p, _)| p.as_str()).collect()
+        };
+        let current = "registry/default/store/current";
+        // One int8 encoding, on the catalog; one centroid index per shard
+        // and none over the whole catalog.
+        assert_eq!(leaves("/int8"), [format!("{current}/catalog/int8")]);
+        let centroids: Vec<String> = (0..3)
+            .map(|i| format!("{current}/shards/shard{i}/centroids"))
+            .collect();
+        assert_eq!(leaves("/centroids"), centroids);
+        // X is counted once (12 users × f=4 × 4 B) after a similar-users
+        // batch: the model is its store plus that one leaf.
+        assert_eq!(leaves("user_factors"), ["registry/default/user_factors"]);
+        let bytes = |path: &str| report.iter().find(|(p, _)| p == path).unwrap().1;
+        assert_eq!(bytes("registry/default/user_factors"), 12 * 4 * 4);
+        assert_eq!(
+            bytes("registry/default"),
+            bytes("registry/default/store") + 12 * 4 * 4
         );
     }
 

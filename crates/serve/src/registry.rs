@@ -251,12 +251,9 @@ pub(crate) struct ModelEntry {
     pub(crate) f: usize,
     pub(crate) store: ShardedFactorStore,
     /// `X` for known-user requests, swapped atomically alongside (but
-    /// independently of) Θ publishes.
+    /// independently of) Θ publishes. Similar-users scans view this same
+    /// matrix; it is never copied.
     user_factors: RwLock<Arc<DenseMatrix>>,
-    /// Lazily built sharded view of `X` for similar-users scans
-    /// ([`crate::engine::Query::SimilarUsers`]); invalidated whenever the
-    /// user-factor matrix is swapped.
-    user_snapshot: RwLock<Option<Arc<ShardedSnapshot>>>,
     retired: AtomicBool,
     pub(crate) metrics: ModelMetrics,
 }
@@ -266,30 +263,6 @@ impl ModelEntry {
     /// whole batch).
     pub(crate) fn user_factors(&self) -> Arc<DenseMatrix> {
         self.user_factors.read().clone()
-    }
-
-    /// The user-factor matrix as a sharded snapshot, for `x_u·Xᵀ`
-    /// similar-users scans through the same scatter-gather path items
-    /// use. Built lazily on first use (rows copied once, off the hot
-    /// path for every later batch) and cached until
-    /// [`ModelRegistry::set_user_factors`] swaps `X`. The snapshot
-    /// carries no priors, FP16 copy, or centroid index: the user side
-    /// always scans exactly in FP32.
-    pub(crate) fn user_side_snapshot(&self) -> Arc<ShardedSnapshot> {
-        if let Some(s) = self.user_snapshot.read().as_ref() {
-            return Arc::clone(s);
-        }
-        let mut slot = self.user_snapshot.write();
-        if let Some(s) = slot.as_ref() {
-            return Arc::clone(s);
-        }
-        let x = self.user_factors();
-        let sharded = Arc::new(ShardedSnapshot::build(
-            ModelSnapshot::new(0, (*x).clone(), vec![]),
-            self.store.n_shards(),
-        ));
-        *slot = Some(Arc::clone(&sharded));
-        sharded
     }
 
     pub(crate) fn is_retired(&self) -> bool {
@@ -302,13 +275,10 @@ impl ModelEntry {
     /// memory until dropped, so they report too.
     pub(crate) fn footprint(&self) -> FootprintReport {
         let uf = self.user_factors();
-        let mut children = vec![
+        let children = vec![
             self.store.footprint(),
             FootprintReport::leaf("user_factors", std::mem::size_of_val(uf.as_slice()) as u64),
         ];
-        if let Some(s) = self.user_snapshot.read().as_ref() {
-            children.push(s.footprint().renamed("user_snapshot"));
-        }
         FootprintReport::branch(self.id.as_str(), children)
     }
 }
@@ -382,9 +352,10 @@ pub struct ModelRegistry {
     /// (`serve_mem_budget_exceeded_total`); nothing is evicted.
     memory_budget: Option<u64>,
     /// When set, every registered or published snapshot is completed to
-    /// this approximate-retrieval policy: a missing centroid index is
-    /// built (k-means at publish time, off the serving path) and — when
-    /// the policy asks for int8 — a missing int8 copy is quantized. The
+    /// this approximate-retrieval policy: each shard without a publisher
+    /// index gets its own (k-means over its range at publish time, off
+    /// the serving path) and — when the policy asks for int8 — a missing
+    /// int8 copy is quantized once on the catalog. The
     /// engine derives this from its retrieval mode so `Approx` requests
     /// never fall back to the exact scan just because a publisher forgot
     /// to attach the index.
@@ -439,20 +410,18 @@ impl ModelRegistry {
             .record(self.obs.now(), model.cloned(), kind);
     }
 
-    /// Complete `snapshot` to the registry's approximate-retrieval policy:
-    /// build the centroid index and/or int8 copy it is missing. A no-op
-    /// when no policy is set or the snapshot already carries them (a
-    /// publisher's own index wins — it may have tuned the cluster count).
-    fn apply_ann_policy(&self, mut snapshot: ModelSnapshot) -> ModelSnapshot {
+    /// Shard `snapshot` into `n_shards` views, completed to the registry's
+    /// approximate-retrieval policy: the int8 copy is quantized once on
+    /// the catalog if missing, and each shard gets an index built with
+    /// the policy's params. A publisher's own index wins — it may have
+    /// tuned the cluster count.
+    fn shard(&self, mut snapshot: ModelSnapshot, n_shards: usize) -> ShardedSnapshot {
         if let Some(policy) = self.ann {
-            if !snapshot.has_ann() {
-                snapshot = snapshot.with_ann(policy.params);
-            }
             if policy.int8 && !snapshot.has_int8() {
                 snapshot = snapshot.with_int8();
             }
         }
-        snapshot
+        ShardedSnapshot::build_with(snapshot, n_shards, self.ann.map(|p| p.params))
     }
 
     fn entry_of(inner: &Inner, id: &ModelId) -> Result<Arc<ModelEntry>, ServeError> {
@@ -486,21 +455,20 @@ impl ModelRegistry {
         if inner.models.contains_key(&id) {
             return Err(ServeError::DuplicateModel(id));
         }
-        let snapshot = self.apply_ann_policy(snapshot);
+        let sharded = self.shard(snapshot, self.shards);
         let slot = inner.next_slot;
         inner.next_slot += 1;
         let metrics = self.obs.metrics().model(id.as_str());
-        metrics.epoch.set(snapshot.epoch as f64);
-        let f = snapshot.f();
-        let epoch = snapshot.epoch;
-        let bytes = snapshot.footprint().total_bytes();
+        let f = sharded.f();
+        let epoch = sharded.epoch();
+        metrics.epoch.set(epoch as f64);
+        let bytes = sharded.footprint().total_bytes();
         let entry = Arc::new(ModelEntry {
             id: id.clone(),
             slot,
             f,
-            store: ShardedFactorStore::new(snapshot, self.shards),
+            store: ShardedFactorStore::from_sharded(sharded),
             user_factors: RwLock::new(Arc::new(user_factors)),
-            user_snapshot: RwLock::new(None),
             retired: AtomicBool::new(false),
             metrics,
         });
@@ -518,9 +486,9 @@ impl ModelRegistry {
     /// must match the dimension the model was registered with
     /// ([`ServeError::DimensionMismatch`] otherwise — a different `f` is
     /// a different model, register it as one). When an
-    /// approximate-retrieval policy is in force, the snapshot's missing
-    /// centroid index / int8 copy are built here — publish time, off the
-    /// request path. Returns the new epoch.
+    /// approximate-retrieval policy is in force, the per-shard centroid
+    /// indices and a missing int8 copy are built here — publish time, off
+    /// the request path. Returns the new epoch.
     pub fn publish(&self, id: &ModelId, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
         let entry = Self::entry_of(&self.inner.read(), id)?;
         if snapshot.f() != entry.f {
@@ -530,9 +498,9 @@ impl ModelRegistry {
                 got: snapshot.f(),
             });
         }
-        let snapshot = self.apply_ann_policy(snapshot);
-        let bytes = snapshot.footprint().total_bytes();
-        let epoch = entry.store.publish(snapshot)?;
+        let sharded = self.shard(snapshot, entry.store.n_shards());
+        let bytes = sharded.footprint().total_bytes();
+        let epoch = entry.store.install(sharded)?;
         entry.metrics.epoch.set(epoch as f64);
         self.journal(Some(id), EventKind::SnapshotPublished { epoch, bytes });
         let report = self.refresh_memory_gauges();
@@ -574,9 +542,6 @@ impl ModelRegistry {
             });
         }
         *entry.user_factors.write() = Arc::new(user_factors);
-        // The similar-users view is a copy of the old X: drop it so the
-        // next similar-users batch rebuilds from the swapped matrix.
-        *entry.user_snapshot.write() = None;
         Ok(())
     }
 
@@ -1186,14 +1151,20 @@ mod tests {
         )
         .unwrap();
         let champ = ModelId::from("champion");
+        let every_shard_has_k = |s: &ShardedSnapshot, k: usize| {
+            s.shards()
+                .iter()
+                .all(|sh| sh.ann.as_ref().is_some_and(|i| i.k_clusters() == k))
+        };
         // Registration attached both sidecars…
         let held = reg.snapshot(&champ).unwrap();
-        assert!(held.full().has_ann() && held.full().has_int8());
-        assert_eq!(held.full().ann().unwrap().k_clusters(), 3);
+        assert!(held.full().has_int8());
+        assert!(every_shard_has_k(&held, 3));
         // …and a bare published snapshot gets them too, at publish time.
         reg.publish(&champ, snap(1, 8, 4)).unwrap();
         let next = reg.snapshot(&champ).unwrap();
-        assert!(next.full().has_ann() && next.full().has_int8());
+        assert!(next.full().has_int8());
+        assert!(every_shard_has_k(&next, 3));
         // A publisher-supplied index is kept, not rebuilt.
         let tuned = snap(2, 8, 4).with_ann(AnnParams {
             k_clusters: 5,
@@ -1201,7 +1172,7 @@ mod tests {
         });
         reg.publish(&champ, tuned).unwrap();
         let kept = reg.snapshot(&champ).unwrap();
-        assert_eq!(kept.full().ann().unwrap().k_clusters(), 5);
+        assert!(every_shard_has_k(&kept, 5));
     }
 
     #[test]
@@ -1246,34 +1217,26 @@ mod tests {
     }
 
     #[test]
-    fn user_side_snapshot_is_cached_and_invalidated_on_swap() {
+    fn user_factors_are_counted_once_and_swapped_in_place() {
         let reg = registry();
         let champ = ModelId::from("champion");
         let entry = ModelRegistry::entry_of(&reg.inner.read(), &champ).unwrap();
-        let first = entry.user_side_snapshot();
-        // identity(4): 4 user rows, sharded at the store's count, exact
-        // FP32 only.
-        assert_eq!(first.n_items(), 4);
-        assert_eq!(first.n_shards(), entry.store.n_shards());
-        assert!(!first.full().has_fp16() && !first.full().has_ann());
-        assert!(
-            Arc::ptr_eq(&first, &entry.user_side_snapshot()),
-            "second call must reuse the cached view"
-        );
-        // The cached copy is honest resident memory.
-        let uf_side = entry
-            .footprint()
-            .children()
-            .iter()
-            .any(|c| c.name() == "user_snapshot");
-        assert!(uf_side, "cached view must appear in the footprint");
-        // Swapping X drops the view; the next call rebuilds from the new
-        // matrix.
+        // The model is its store plus one X leaf — no cached copy of X.
+        let children = |e: &ModelEntry| {
+            let r = e.footprint();
+            r.children()
+                .iter()
+                .map(|c| (c.name().to_string(), c.total_bytes()))
+                .collect::<Vec<_>>()
+        };
+        let store = entry.store.footprint().total_bytes();
+        let x = |rows: u64| ("user_factors".to_string(), rows * 4 * 4);
+        assert_eq!(children(&entry), [("store".to_string(), store), x(4)]);
+        // Swapping X replaces the one matrix similar-users views read.
         reg.set_user_factors(&champ, DenseMatrix::zeros(7, 4))
             .unwrap();
-        let rebuilt = entry.user_side_snapshot();
-        assert!(!Arc::ptr_eq(&first, &rebuilt));
-        assert_eq!(rebuilt.n_items(), 7);
+        assert_eq!(entry.user_factors().rows(), 7);
+        assert_eq!(children(&entry), [("store".to_string(), store), x(7)]);
     }
 
     #[test]

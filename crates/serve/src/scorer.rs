@@ -162,6 +162,52 @@ impl ScoreConfig {
     }
 }
 
+/// Items `[start, start + len)` of one catalog plus the centroid index
+/// over that range — what every scan reads. [`top_k_batch`] is the whole
+/// range; each shard is one range of the same catalog. Accessors take
+/// range-local ids; rankings come back in global ids.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RangeView<'a> {
+    pub(crate) catalog: &'a ModelSnapshot,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+    pub(crate) ann: Option<&'a CentroidIndex>,
+}
+
+impl<'a> RangeView<'a> {
+    /// The whole snapshot, with its own centroid index (if any).
+    pub(crate) fn whole(snapshot: &'a ModelSnapshot) -> RangeView<'a> {
+        RangeView {
+            catalog: snapshot,
+            start: 0,
+            len: snapshot.n_items(),
+            ann: snapshot.ann(),
+        }
+    }
+
+    /// FP32 row of range-local item `local`.
+    #[inline]
+    pub(crate) fn item_row(&self, local: usize) -> &'a [f32] {
+        self.catalog.item_row(self.start + local)
+    }
+
+    /// Prior of range-local item `local`.
+    #[inline]
+    pub(crate) fn prior(&self, local: usize) -> f32 {
+        self.catalog.prior(self.start + local)
+    }
+
+    /// Int8 row and block scale of range-local item `local`, when the
+    /// catalog carries the int8 copy. Blocks are anchored at catalog row
+    /// 0, so a shard reads exactly the unsharded quantization.
+    #[inline]
+    pub(crate) fn int8_row(&self, local: usize) -> Option<(&'a [i8], f32)> {
+        let q = self.catalog.int8()?;
+        let v = self.start + local;
+        Some((q.row(v), q.scale(v)))
+    }
+}
+
 /// Factor bytes one [`top_k_batch`] call streams from the snapshot — the
 /// analytic mirror of the blocked loop, kept out of the hot path so
 /// byte accounting costs nothing per score.
@@ -184,14 +230,19 @@ impl ScoreConfig {
 /// assert_eq!(scan_bytes(&snap, 40, &cfg), 2 * 1000 * 16 * 4);
 /// ```
 pub fn scan_bytes(snapshot: &ModelSnapshot, users: usize, cfg: &ScoreConfig) -> u64 {
+    range_scan_bytes(&RangeView::whole(snapshot), users, cfg)
+}
+
+/// [`scan_bytes`] for the rows of one range view.
+fn range_scan_bytes(view: &RangeView<'_>, users: usize, cfg: &ScoreConfig) -> u64 {
     let chunk = cfg.user_chunk.max(1);
     let chunks = users.div_ceil(chunk) as u64;
-    let width: u64 = if cfg.use_fp16 && snapshot.has_fp16() {
+    let width: u64 = if cfg.use_fp16 && view.catalog.has_fp16() {
         2
     } else {
         4
     };
-    chunks * snapshot.n_items() as u64 * snapshot.f() as u64 * width
+    chunks * view.len as u64 * view.catalog.f() as u64 * width
 }
 
 /// Score every row of `user_factors` against the snapshot's items and
@@ -215,35 +266,44 @@ pub fn top_k_batch(
     top_k_batch_stats(snapshot, user_factors, k, cfg).0
 }
 
-/// [`top_k_batch`] plus the measured [`ScanStats`] of the pass — the
-/// entry point the shard scatter-gather uses so byte accounting reflects
-/// what the approximate path actually read rather than the closed-form
-/// full-scan model.
+/// [`top_k_batch`] plus the measured [`ScanStats`] of the pass: the
+/// whole-catalog case of the range scan every shard runs.
 pub fn top_k_batch_stats(
     snapshot: &ModelSnapshot,
     user_factors: &DenseMatrix,
     k: usize,
     cfg: &ScoreConfig,
 ) -> (Vec<Vec<ScoredItem>>, ScanStats) {
+    scan_range(&RangeView::whole(snapshot), user_factors, k, cfg)
+}
+
+/// The one scan implementation: top-k over a range view's items, in
+/// global ids, plus the pass's measured [`ScanStats`].
+pub(crate) fn scan_range(
+    view: &RangeView<'_>,
+    user_factors: &DenseMatrix,
+    k: usize,
+    cfg: &ScoreConfig,
+) -> (Vec<Vec<ScoredItem>>, ScanStats) {
     assert_eq!(
         user_factors.cols(),
-        snapshot.f(),
+        view.catalog.f(),
         "user factor dimension must match the model"
     );
     if let Retrieval::Approx { n_probe, quant } = cfg.retrieval {
-        if let Some(index) = snapshot.ann() {
-            return top_k_batch_approx(snapshot, index, user_factors, k, n_probe, quant, cfg);
+        if let Some(index) = view.ann {
+            return top_k_batch_approx(view, index, user_factors, k, n_probe, quant, cfg);
         }
     }
     let users = user_factors.rows();
-    let rows = top_k_batch_exact(snapshot, user_factors, k, cfg);
-    let candidates = snapshot.n_items() as u64 * users as u64;
+    let rows = top_k_batch_exact(view, user_factors, k, cfg);
+    let candidates = view.len as u64 * users as u64;
     let stats = ScanStats {
-        bytes: scan_bytes(snapshot, users, cfg),
+        bytes: range_scan_bytes(view, users, cfg),
         probed_clusters: 0,
         candidates,
         rescored: 0,
-        flops: 2 * snapshot.f() as u64 * candidates,
+        flops: 2 * view.catalog.f() as u64 * candidates,
     };
     (rows, stats)
 }
@@ -257,7 +317,7 @@ pub fn top_k_batch_stats(
 /// as the exact scan, which is what makes the full-probe/no-quant case
 /// bit-identical to [`Retrieval::Exact`].
 fn top_k_batch_approx(
-    snapshot: &ModelSnapshot,
+    view: &RangeView<'_>,
     index: &CentroidIndex,
     user_factors: &DenseMatrix,
     k: usize,
@@ -265,13 +325,10 @@ fn top_k_batch_approx(
     quant: QuantMode,
     cfg: &ScoreConfig,
 ) -> (Vec<Vec<ScoredItem>>, ScanStats) {
-    let f = snapshot.f();
+    let f = view.catalog.f();
     let users = user_factors.rows();
     let chunk = cfg.user_chunk.max(1);
-    let int8 = match quant {
-        QuantMode::Int8 => snapshot.int8(),
-        QuantMode::None => None,
-    };
+    let int8 = quant == QuantMode::Int8 && view.catalog.has_int8();
     // Oversample the int8 shortlist so quantization roundoff near the
     // k-th score boundary rarely evicts a true top-k item before the
     // exact rescore can save it.
@@ -279,9 +336,7 @@ fn top_k_batch_approx(
     let probed = AtomicU64::new(0);
     let candidates = AtomicU64::new(0);
     let rescored = AtomicU64::new(0);
-    // Priors borrowed once for the whole pass; empty means "add 0".
-    let priors = snapshot.popularity();
-    let prior = |v: usize| if priors.is_empty() { 0.0 } else { priors[v] };
+    let global = |local: usize| (view.start + local) as u32;
 
     let mut heaps: Vec<TopK> = (0..users).map(|_| TopK::new(k)).collect();
     heaps
@@ -294,32 +349,30 @@ fn top_k_batch_approx(
                 let xu = user_factors.row(user0 + du);
                 let clusters = index.probe(xu, n_probe);
                 p += clusters.len() as u64;
-                match int8 {
-                    Some(q) => {
-                        let mut pre = TopK::new(shortlist);
-                        for &cluster in &clusters {
-                            for &item in index.members(cluster as usize) {
-                                let v = item as usize;
-                                let s = q.dot(v, xu) + prior(v);
-                                pre.push(item, s);
-                                c += 1;
-                            }
-                        }
-                        for cand in pre.into_sorted() {
-                            let v = cand.item as usize;
-                            let s = kernel::dot_lanes(xu, snapshot.item_row(v)) + prior(v);
-                            heap.push(cand.item, s);
-                            r += 1;
+                if int8 {
+                    let mut pre = TopK::new(shortlist);
+                    for &cluster in &clusters {
+                        for &item in index.members(cluster as usize) {
+                            let v = item as usize;
+                            let (w, scale) = view.int8_row(v).expect("int8 copy present");
+                            let s = kernel::dot_i8_scaled(xu, w, scale) + view.prior(v);
+                            pre.push(item, s);
+                            c += 1;
                         }
                     }
-                    None => {
-                        for &cluster in &clusters {
-                            for &item in index.members(cluster as usize) {
-                                let v = item as usize;
-                                let s = kernel::dot_lanes(xu, snapshot.item_row(v)) + prior(v);
-                                heap.push(item, s);
-                                c += 1;
-                            }
+                    for cand in pre.into_sorted() {
+                        let v = cand.item as usize;
+                        let s = kernel::dot_lanes(xu, view.item_row(v)) + view.prior(v);
+                        heap.push(global(v), s);
+                        r += 1;
+                    }
+                } else {
+                    for &cluster in &clusters {
+                        for &item in index.members(cluster as usize) {
+                            let v = item as usize;
+                            let s = kernel::dot_lanes(xu, view.item_row(v)) + view.prior(v);
+                            heap.push(global(v), s);
+                            c += 1;
                         }
                     }
                 }
@@ -336,7 +389,7 @@ fn top_k_batch_approx(
     // the probe, stage 2 reads each candidate row at the scan width
     // (1 byte/coord int8, 4 FP32), and the rescore re-reads shortlist
     // rows in FP32.
-    let width: u64 = if int8.is_some() { 1 } else { 4 };
+    let width: u64 = if int8 { 1 } else { 4 };
     let probe_dots = users as u64 * index.k_clusters() as u64;
     let bytes = probe_dots * f as u64 * 4 + candidates * f as u64 * width + rescored * f as u64 * 4;
     let stats = ScanStats {
@@ -358,23 +411,28 @@ fn top_k_batch_approx(
 /// slice borrowed once per tile while the scores drain into the per-user
 /// heaps.
 fn top_k_batch_exact(
-    snapshot: &ModelSnapshot,
+    view: &RangeView<'_>,
     user_factors: &DenseMatrix,
     k: usize,
     cfg: &ScoreConfig,
 ) -> Vec<Vec<ScoredItem>> {
-    let n = snapshot.n_items();
-    let f = snapshot.f();
+    let (n, f) = (view.len, view.catalog.f());
     let users = user_factors.rows();
     let block = cfg.effective_block_items(f);
     let chunk = cfg.user_chunk.max(1);
-    let fp16_rows = if cfg.use_fp16 {
-        snapshot.f16_factors()
-    } else {
-        None
+    // The view's rows, FP16 rows, and priors, sliced once per pass.
+    let range = view.start * f..(view.start + n) * f;
+    let fp16_rows = match view.catalog.f16_factors() {
+        Some(q) if cfg.use_fp16 => Some(&q[range.clone()]),
+        _ => None,
     };
-    let theta = snapshot.item_factors().as_slice();
-    let priors = snapshot.popularity();
+    let theta = &view.catalog.item_factors().as_slice()[range];
+    let priors = view.catalog.popularity();
+    let priors = if priors.is_empty() {
+        priors
+    } else {
+        &priors[view.start..view.start + n]
+    };
     let x = user_factors.as_slice();
 
     let tile_len = chunk.min(users.max(1)) * block;
@@ -411,12 +469,13 @@ fn top_k_batch_exact(
                 } else {
                     Some(&priors[start..start + len])
                 };
+                let first = (view.start + start) as u32;
                 for (du, heap) in chunk_heaps.iter_mut().enumerate() {
                     let row = &scores[du * len..(du + 1) * len];
                     match tile_priors {
                         Some(p) => {
                             for (j, (&s, &pr)) in row.iter().zip(p).enumerate() {
-                                heap.push((start + j) as u32, s + pr);
+                                heap.push(first + j as u32, s + pr);
                             }
                         }
                         None => {
@@ -424,7 +483,7 @@ fn top_k_batch_exact(
                                 // The `+ 0.0` is the absent prior: it
                                 // normalizes a −0.0 dot to +0.0 exactly
                                 // like the reference path's `+ prior(v)`.
-                                heap.push((start + j) as u32, s + 0.0);
+                                heap.push(first + j as u32, s + 0.0);
                             }
                         }
                     }

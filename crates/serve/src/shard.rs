@@ -2,16 +2,18 @@
 //!
 //! The paper's training-side win comes from partitioning the factor
 //! matrices across parallel workers and cache-blocking each partition's
-//! walk; this module applies the same reasoning to serving. Item factors
-//! are split into contiguous item-id ranges — each shard carrying its own
-//! FP32 (and optional FP16) blocks and popularity priors — and a request
-//! batch is *scattered*: every shard runs the existing blocked scoring
-//! kernel ([`top_k_batch`](crate::scorer::top_k_batch)) over its slice, producing one bounded heap per
-//! (shard, user). The *gather* step merges the per-shard heaps with the
-//! deterministic tie-break of [`merge_top_k`] (score descending, item id
-//! ascending), so the sharded ranking is bit-identical to the unsharded
-//! scorer's — test-enforced for shard counts 1–8 including tied scores
-//! straddling shard boundaries.
+//! walk; this module applies the same reasoning to serving. The item
+//! catalog is encoded once per epoch (FP32, optional FP16 and int8
+//! copies, priors) and split into contiguous item-id ranges — each shard
+//! a *view* that copies no rows and owns only the centroid index built
+//! over its range. A request batch is *scattered*: every shard runs the
+//! blocked scoring scan ([`top_k_batch`](crate::scorer::top_k_batch) is
+//! the same scan over the whole-catalog range) over its slice, producing
+//! one bounded heap per (shard, user). The *gather* step merges the
+//! per-shard heaps with the deterministic tie-break of [`merge_top_k`]
+//! (score descending, item id ascending), so the sharded ranking is
+//! bit-identical to the unsharded scorer's — test-enforced for shard
+//! counts 1–8 including tied scores straddling shard boundaries.
 //!
 //! Shards score on scoped OS threads when the host has more than one core
 //! (the rayon shim is sequential, so parallelism across shards comes from
@@ -21,12 +23,12 @@
 //! on-ramp to multi-node serving: each range could live in a different
 //! process and the gather step would not change.
 
-use crate::ann::AnnParams;
+use crate::ann::{AnnParams, CentroidIndex};
 use crate::error::ServeError;
 use crate::registry::ModelId;
-use crate::scorer::{top_k_batch_stats, ScoreConfig};
+use crate::scorer::{scan_range, RangeView, ScoreConfig};
 use crate::store::ModelSnapshot;
-use crate::topk::{merge_top_k, ScoredItem};
+use crate::topk::{merge_top_k, ScoredItem, TopK};
 use cumf_numeric::dense::DenseMatrix;
 use cumf_numeric::kernel;
 use cumf_telemetry::{FootprintReport, MemoryFootprint, PhaseSpan, Recorder, NOOP};
@@ -34,31 +36,34 @@ use parking_lot::{Mutex, RwLock};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
-/// One contiguous slice of the item catalog: global ids
-/// `[start, start + local.n_items())`, with factors and priors copied out
-/// of the parent snapshot so each shard's scoring walk touches only its
-/// own blocks.
+/// One contiguous slice of the item catalog: a view of global ids
+/// `[start, start + len)` into its [`ShardedSnapshot`]'s one catalog. A
+/// shard copies no factors or priors; rows, the FP16/int8 copies, and
+/// priors are read from the catalog by global id.
 #[derive(Clone, Debug)]
 pub struct Shard {
     /// Global item id of the shard's first row.
     pub start: usize,
-    /// The shard's factors/priors as a self-contained snapshot (same
-    /// epoch as the parent; FP16 copy present iff the parent carried one).
-    pub local: ModelSnapshot,
+    /// Number of items in the range.
+    pub len: usize,
+    /// K-means index over the shard's rows alone (member ids are
+    /// range-local), present when the epoch serves approximate
+    /// retrieval.
+    pub ann: Option<CentroidIndex>,
 }
 
 impl Shard {
     /// Number of items in this shard.
     pub fn n_items(&self) -> usize {
-        self.local.n_items()
+        self.len
     }
 }
 
-/// A published model epoch split into contiguous item-range shards.
+/// A published model epoch: one catalog encoded once, split into
+/// contiguous item-range views.
 ///
-/// Keeps the unsharded [`ModelSnapshot`] alongside the shards: cold-start
-/// fold-in solves against the full Θ, and the single-shard fast path
-/// scores it directly.
+/// Cold-start fold-in solves against the catalog's full Θ
+/// ([`ShardedSnapshot::full`]); scoring reads it through the shards.
 ///
 /// ```
 /// use cumf_numeric::dense::DenseMatrix;
@@ -75,74 +80,66 @@ impl Shard {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShardedSnapshot {
-    full: ModelSnapshot,
+    catalog: ModelSnapshot,
     shards: Vec<Shard>,
 }
 
 impl ShardedSnapshot {
     /// Split `snapshot` into `n_shards` contiguous item ranges, sized as
     /// evenly as possible (earlier shards take the remainder). The shard
-    /// count is clamped to `[1, n_items]` so no shard is ever empty; each
-    /// shard re-narrows its own FP16 copy when the parent carries one,
-    /// re-quantizes its own int8 copy, and — when the parent carries a
-    /// centroid index — re-clusters its slice with the cluster count
-    /// scaled down proportionally (`⌈k·len/n⌉`, floored at 1) so the
-    /// probe/scan ratio stays roughly the parent's at any shard count.
+    /// count is clamped to `[1, n_items]` so no shard is ever empty. No
+    /// rows are copied. A snapshot's centroid index moves into a single
+    /// shard as-is; several shards each re-cluster their own range with
+    /// `⌈k·len/n⌉` clusters (floored at 1) instead.
     pub fn build(snapshot: ModelSnapshot, n_shards: usize) -> ShardedSnapshot {
-        let n = snapshot.n_items();
-        let f = snapshot.f();
+        ShardedSnapshot::build_with(snapshot, n_shards, None)
+    }
+
+    /// [`ShardedSnapshot::build`], clustering each shard with `ann` when
+    /// the snapshot carries no index of its own (a publisher's wins).
+    pub(crate) fn build_with(
+        mut catalog: ModelSnapshot,
+        n_shards: usize,
+        ann: Option<AnnParams>,
+    ) -> ShardedSnapshot {
+        let n = catalog.n_items();
+        let f = catalog.f();
         let s = n_shards.clamp(1, n.max(1));
-        let theta = snapshot.item_factors().as_slice();
-        let priors = snapshot.popularity();
+        let parent = catalog.take_ann();
+        let params = parent.as_ref().map(CentroidIndex::params).or(ann);
+        let mut moved = parent.filter(|_| s == 1);
+        let theta = catalog.item_factors().as_slice();
         let (base, rem) = (n / s, n % s);
         let mut shards = Vec::with_capacity(s);
         let mut start = 0usize;
         for i in 0..s {
             let len = base + usize::from(i < rem);
-            let rows = theta[start * f..(start + len) * f].to_vec();
-            let pop = if priors.is_empty() {
-                vec![]
-            } else {
-                priors[start..start + len].to_vec()
-            };
-            let mut local =
-                ModelSnapshot::new(snapshot.epoch, DenseMatrix::from_vec(len, f, rows), pop);
-            if snapshot.has_fp16() {
-                local = local.with_fp16();
-            }
-            if let Some(idx) = snapshot.ann() {
-                let parent = idx.params();
-                let k = (parent.k_clusters * len).div_ceil(n.max(1)).max(1);
-                local = local.with_ann(AnnParams {
-                    k_clusters: k,
-                    ..parent
-                });
-            }
-            if snapshot.has_int8() {
-                local = local.with_int8();
-            }
-            shards.push(Shard { start, local });
+            let ann = moved.take().or_else(|| {
+                params.map(|p| {
+                    let k_clusters = (p.k_clusters.min(n) * len).div_ceil(n.max(1)).max(1);
+                    let rows = &theta[start * f..(start + len) * f];
+                    CentroidIndex::build_rows(rows, len, f, AnnParams { k_clusters, ..p })
+                })
+            });
+            shards.push(Shard { start, len, ann });
             start += len;
         }
-        ShardedSnapshot {
-            full: snapshot,
-            shards,
-        }
+        ShardedSnapshot { catalog, shards }
     }
 
     /// Model epoch of this snapshot.
     pub fn epoch(&self) -> u64 {
-        self.full.epoch
+        self.catalog.epoch
     }
 
     /// Feature dimension `f`.
     pub fn f(&self) -> usize {
-        self.full.f()
+        self.catalog.f()
     }
 
     /// Total items across all shards.
     pub fn n_items(&self) -> usize {
-        self.full.n_items()
+        self.catalog.n_items()
     }
 
     /// Number of shards.
@@ -150,34 +147,59 @@ impl ShardedSnapshot {
         self.shards.len()
     }
 
-    /// The unsharded snapshot (fold-in solves and the single-shard fast
-    /// path read this).
+    /// The catalog every shard views: the whole epoch's Θ, its FP16 and
+    /// int8 copies, and priors (fold-in solves against it). Centroid
+    /// indices live on the shards, not here.
     pub fn full(&self) -> &ModelSnapshot {
-        &self.full
+        &self.catalog
     }
 
     /// The shards, in item-range order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
     }
+
+    /// Shard `i` as a scan view over the catalog.
+    pub(crate) fn view(&self, i: usize) -> RangeView<'_> {
+        let shard = &self.shards[i];
+        RangeView {
+            catalog: &self.catalog,
+            start: shard.start,
+            len: shard.len,
+            ann: shard.ann.as_ref(),
+        }
+    }
+
+    /// Whether the catalog carries the FP16 copy.
+    pub(crate) fn has_fp16(&self) -> bool {
+        self.catalog.has_fp16()
+    }
+
+    /// Whether every shard carries a centroid index (what approximate
+    /// retrieval needs to avoid the exact fallback).
+    pub(crate) fn has_ann(&self) -> bool {
+        self.shards.iter().all(|s| s.ann.is_some())
+    }
 }
 
 impl MemoryFootprint for ShardedSnapshot {
-    /// Children: `full` (the unsharded master kept for fold-in and the
-    /// single-shard fast path) and `shards` with one `shard{i}` subtree
-    /// each. Sharding *copies* rows, so the honest total is roughly twice
-    /// the factor payload — the tree shows exactly where.
+    /// Children: `catalog` (the epoch's one FP32/FP16/int8/priors
+    /// encoding) and `shards` with one `shard{i}` subtree each, holding
+    /// only that shard's `centroids` leaf — views copy no rows, so every
+    /// encoding is counted exactly once.
     fn footprint(&self) -> FootprintReport {
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| s.local.footprint().renamed(format!("shard{i}")))
-            .collect();
+        let shard = |(i, s): (usize, &Shard)| {
+            let centroids = s
+                .ann
+                .iter()
+                .map(|a| FootprintReport::leaf("centroids", a.bytes()));
+            FootprintReport::branch(format!("shard{i}"), centroids.collect())
+        };
+        let shards = self.shards.iter().enumerate().map(shard).collect();
         FootprintReport::branch(
             "sharded_snapshot",
             vec![
-                self.full.footprint().renamed("full"),
+                self.catalog.footprint().renamed("catalog"),
                 FootprintReport::branch("shards", shards),
             ],
         )
@@ -193,7 +215,7 @@ pub struct ShardTiming {
     /// Stage-2 score evaluations the shard performed: `items × users` on
     /// the exact path, the pruned candidate count on the approximate one.
     pub scored: u64,
-    /// Factor bytes the pass streamed from the shard's snapshot. Exact
+    /// Factor bytes the pass streamed from the shard's range. Exact
     /// scans use [`scan_bytes`](crate::scorer::scan_bytes)'s analytic
     /// count (FP16 blocks 2 bytes per element, FP32 blocks 4, once per
     /// user chunk); approximate scans report the measured centroid +
@@ -274,48 +296,42 @@ pub fn scatter_top_k(
     let users = user_factors.rows();
     let tracing = recorder.enabled();
     let anchor = Instant::now();
-    // One shard's pass: rankings shifted to global ids, timing, and the
+    // One shard's pass: rankings (in global ids), timing, and the
     // locally buffered span (None when tracing is off).
-    let score_shard =
-        |idx: usize, shard: &Shard| -> (Vec<Vec<ScoredItem>>, ShardTiming, Option<PhaseSpan>) {
-            let s0 = anchor.elapsed().as_secs_f64();
-            let t0 = Instant::now();
-            let (mut local, stats) = top_k_batch_stats(&shard.local, user_factors, k, cfg);
-            for user_ranking in &mut local {
-                for item in user_ranking.iter_mut() {
-                    item.item += shard.start as u32;
-                }
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            let timing = ShardTiming {
-                shard: idx,
-                scored: stats.candidates,
-                bytes: stats.bytes,
-                probed_clusters: stats.probed_clusters,
-                rescored: stats.rescored,
-                flops: stats.flops,
-                secs,
-            };
-            let span = tracing.then(|| {
-                PhaseSpan::new(
-                    format!("serve.shard{idx}.score"),
-                    t_base + s0,
-                    t_base + s0 + secs,
-                )
-            });
-            (local, timing, span)
+    let score_shard = |idx: usize, view: RangeView<'_>| {
+        let s0 = anchor.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        let (local, stats) = scan_range(&view, user_factors, k, cfg);
+        let secs = t0.elapsed().as_secs_f64();
+        let timing = ShardTiming {
+            shard: idx,
+            scored: stats.candidates,
+            bytes: stats.bytes,
+            probed_clusters: stats.probed_clusters,
+            rescored: stats.rescored,
+            flops: stats.flops,
+            secs,
         };
+        let span = tracing.then(|| {
+            PhaseSpan::new(
+                format!("serve.shard{idx}.score"),
+                t_base + s0,
+                t_base + s0 + secs,
+            )
+        });
+        (local, timing, span)
+    };
     let multicore = std::thread::available_parallelism()
         .map(|p| p.get() > 1)
         .unwrap_or(false);
     let per_shard: Vec<(Vec<Vec<ScoredItem>>, ShardTiming, Option<PhaseSpan>)> =
         if multicore && sharded.n_shards() > 1 {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = sharded
-                    .shards()
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, shard)| scope.spawn(move || score_shard(idx, shard)))
+                let handles: Vec<_> = (0..sharded.n_shards())
+                    .map(|idx| {
+                        let view = sharded.view(idx);
+                        scope.spawn(move || score_shard(idx, view))
+                    })
                     .collect();
                 handles
                     .into_iter()
@@ -323,11 +339,8 @@ pub fn scatter_top_k(
                     .collect()
             })
         } else {
-            sharded
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(idx, shard)| score_shard(idx, shard))
+            (0..sharded.n_shards())
+                .map(|idx| score_shard(idx, sharded.view(idx)))
                 .collect()
         };
 
@@ -353,10 +366,11 @@ pub fn scatter_top_k(
 /// item range, then per-user heaps are merged into global rankings.
 /// Returns the rankings plus per-shard timings.
 ///
-/// Bit-identical to [`top_k_batch`](crate::scorer::top_k_batch) over the unsharded snapshot: shard
-/// slices preserve row layout so each item's dot product is the same
-/// arithmetic, and [`merge_top_k`]'s total order (score descending, item
-/// id ascending) picks exactly the set and order one global heap would.
+/// Bit-identical to [`top_k_batch`](crate::scorer::top_k_batch) over the
+/// unsharded snapshot: every shard runs the same scan over a range of the
+/// same catalog, so each item's dot product is the same arithmetic, and
+/// [`merge_top_k`]'s total order (score descending, item id ascending)
+/// picks exactly the set and order one global heap would.
 pub fn top_k_batch_sharded_timed(
     sharded: &ShardedSnapshot,
     user_factors: &DenseMatrix,
@@ -371,8 +385,9 @@ pub fn top_k_batch_sharded_timed(
 /// shards that owned at least one candidate.
 ///
 /// This is the candidate-set serving path ([`crate::engine::Query::RankItems`]):
-/// the catalog scan is skipped entirely — each slate member is looked up
-/// in its owning contiguous-range shard and scored with the same
+/// the catalog scan is skipped entirely — each slate member is grouped
+/// under its owning contiguous-range shard, read from the catalog by
+/// global id, and scored with the same
 /// `kernel::dot_lanes + prior` arithmetic as every other surface, so the
 /// result is bit-identical to the full sharded top-k ranking restricted
 /// to the slate (test-enforced). Duplicate slate entries rank
@@ -398,18 +413,18 @@ pub fn rank_slate_sharded(
         let idx = shards.partition_point(|s| s.start <= item as usize) - 1;
         groups[idx].push(item);
     }
-    let mut all: Vec<ScoredItem> = Vec::with_capacity(slate.len());
+    let catalog = sharded.full();
+    let mut top = TopK::new(k);
     let mut timings = Vec::new();
-    for (idx, (shard, group)) in shards.iter().zip(&groups).enumerate() {
+    for (idx, group) in groups.iter().enumerate() {
         if group.is_empty() {
             continue;
         }
         let t0 = Instant::now();
         for &item in group {
-            let local = item as usize - shard.start;
-            let score =
-                kernel::dot_lanes(query, shard.local.item_row(local)) + shard.local.prior(local);
-            all.push(ScoredItem { item, score });
+            let v = item as usize;
+            let score = kernel::dot_lanes(query, catalog.item_row(v)) + catalog.prior(v);
+            top.push(item, score);
         }
         let scored = group.len() as u64;
         timings.push(ShardTiming {
@@ -422,17 +437,7 @@ pub fn rank_slate_sharded(
             secs: t0.elapsed().as_secs_f64(),
         });
     }
-    all.sort_unstable_by(|a, b| {
-        if a.ranks_before(b) {
-            std::cmp::Ordering::Less
-        } else if b.ranks_before(a) {
-            std::cmp::Ordering::Greater
-        } else {
-            std::cmp::Ordering::Equal
-        }
-    });
-    all.truncate(k);
-    (all, timings)
+    (top.into_sorted(), timings)
 }
 
 /// [`top_k_batch_sharded_timed`] without the timings — the plain sharded
@@ -446,10 +451,12 @@ pub fn top_k_batch_sharded(
     top_k_batch_sharded_timed(sharded, user_factors, k, cfg).0
 }
 
-/// Snapshot-swapped holder of the current [`ShardedSnapshot`] — the
-/// sharded successor of [`FactorStore`](crate::store::FactorStore), with
-/// the same publish semantics: readers clone an `Arc` per batch and are
-/// never blocked by a publish in progress.
+/// Snapshot-swapped holder of the current [`ShardedSnapshot`].
+///
+/// Serving reads factors on every request while a trainer publishes new
+/// epochs. Readers clone an `Arc` per batch (never blocked by a publish in
+/// progress), in-flight batches keep scoring the epoch they started with,
+/// and a replaced epoch is freed when its last reader drops it.
 ///
 /// ```
 /// use cumf_numeric::dense::DenseMatrix;
@@ -483,11 +490,15 @@ impl ShardedFactorStore {
     /// to the item count; every later publish re-shards at the same
     /// count).
     pub fn new(snapshot: ModelSnapshot, n_shards: usize) -> ShardedFactorStore {
-        let sharded = ShardedSnapshot::build(snapshot, n_shards);
-        let n_shards = sharded.n_shards();
+        ShardedFactorStore::from_sharded(ShardedSnapshot::build(snapshot, n_shards))
+    }
+
+    /// A store serving an already sharded snapshot, re-sharding later
+    /// publishes at its shard count.
+    pub(crate) fn from_sharded(sharded: ShardedSnapshot) -> ShardedFactorStore {
         ShardedFactorStore {
+            n_shards: sharded.n_shards(),
             current: RwLock::new(Arc::new(sharded)),
-            n_shards,
             superseded: Mutex::new(Vec::new()),
         }
     }
@@ -502,26 +513,25 @@ impl ShardedFactorStore {
     /// new epoch. The sharding pass runs before the write lock is taken,
     /// so readers only ever wait for the pointer swap.
     ///
-    /// As with [`crate::store::FactorStore::publish`], the snapshot's
-    /// feature dimension must match the one currently served
-    /// ([`ServeError::DimensionMismatch`] otherwise).
+    /// The snapshot's feature dimension must match the one currently
+    /// served ([`ServeError::DimensionMismatch`] otherwise): every scorer
+    /// and user-factor matrix downstream is sized for the live `f`, so a
+    /// different `f` is a different model, not a new epoch.
     pub fn publish(&self, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
-        let expected = self.current.read().f();
-        if snapshot.f() != expected {
-            return Err(ServeError::DimensionMismatch {
-                model: ModelId::from(crate::store::UNREGISTERED),
-                expected,
-                got: snapshot.f(),
-            });
-        }
-        let sharded = Arc::new(ShardedSnapshot::build(snapshot, self.n_shards));
+        self.install(ShardedSnapshot::build(snapshot, self.n_shards))
+    }
+
+    /// Atomically replace the served snapshot with `sharded` (the swap
+    /// half of [`ShardedFactorStore::publish`], with its dimension check
+    /// made under the lock); returns the new epoch.
+    pub(crate) fn install(&self, sharded: ShardedSnapshot) -> Result<u64, ServeError> {
+        let sharded = Arc::new(sharded);
         let epoch = sharded.epoch();
         let mut current = self.current.write();
         if sharded.f() != current.f() {
-            // A concurrent publish changed f under us (only possible if it
-            // itself raced a mismatched publish); re-check under the lock.
+            // A bare store has no registry name to report.
             return Err(ServeError::DimensionMismatch {
-                model: ModelId::from(crate::store::UNREGISTERED),
+                model: ModelId::from("(unregistered)"),
                 expected: current.f(),
                 got: sharded.f(),
             });
@@ -624,14 +634,12 @@ mod tests {
     fn shard_slices_carry_identical_rows_and_priors() {
         let full = snap(11, 3, true);
         let sharded = ShardedSnapshot::build(full.clone(), 4);
-        for shard in sharded.shards() {
+        for (i, shard) in sharded.shards().iter().enumerate() {
+            let view = sharded.view(i);
             for local in 0..shard.n_items() {
                 let global = shard.start + local;
-                assert_eq!(
-                    shard.local.item_factors().row(local),
-                    full.item_factors().row(global)
-                );
-                assert_eq!(shard.local.prior(local), full.prior(global));
+                assert_eq!(view.item_row(local), full.item_factors().row(global));
+                assert_eq!(view.prior(local), full.prior(global));
             }
         }
     }
@@ -639,10 +647,9 @@ mod tests {
     #[test]
     fn fp16_carries_through_sharding() {
         let sharded = ShardedSnapshot::build(snap(9, 4, false).with_fp16(), 3);
-        assert!(sharded.full().has_fp16());
-        assert!(sharded.shards().iter().all(|s| s.local.has_fp16()));
+        assert!(sharded.has_fp16());
         let plain = ShardedSnapshot::build(snap(9, 4, false), 3);
-        assert!(plain.shards().iter().all(|s| !s.local.has_fp16()));
+        assert!(!plain.has_fp16());
     }
 
     #[test]
@@ -808,15 +815,40 @@ mod tests {
         };
         let parent = snap(40, 3, false).with_ann(params).with_int8();
         let sharded = ShardedSnapshot::build(parent, 4);
-        assert!(sharded.full().has_ann() && sharded.full().has_int8());
+        // The int8 copy stays on the catalog; the full-catalog index is
+        // replaced by one index per shard.
+        assert!(!sharded.full().has_ann() && sharded.full().has_int8());
+        assert!(sharded.has_ann());
         for shard in sharded.shards() {
-            assert!(shard.local.has_int8());
-            let idx = shard.local.ann().expect("shard index");
+            let idx = shard.ann.as_ref().expect("shard index");
             // 8 clusters over 40 items, 10-item shards ⇒ 2 clusters each.
             assert_eq!(idx.k_clusters(), 2);
+            assert_eq!(idx.n_items(), shard.len);
         }
         let plain = ShardedSnapshot::build(snap(40, 3, false), 4);
-        assert!(plain.shards().iter().all(|s| !s.local.has_ann()));
+        assert!(plain.shards().iter().all(|s| s.ann.is_none()));
+    }
+
+    #[test]
+    fn int8_rows_and_scales_do_not_depend_on_the_shard_count() {
+        // 101 items: shard starts 51 / 34, 68 / 15, 30, 45, … are not
+        // multiples of QUANT_BLOCK_ROWS, so a per-shard re-quantization
+        // would anchor different blocks than the unsharded copy.
+        let parent = snap(101, 3, false).with_int8();
+        let want = crate::ann::QuantizedFactors::build(parent.item_factors());
+        for s in [1, 2, 3, 7] {
+            let sharded = ShardedSnapshot::build(parent.clone(), s);
+            assert!(sharded.shards()[1..]
+                .iter()
+                .all(|sh| sh.start % crate::ann::QUANT_BLOCK_ROWS != 0));
+            for (i, shard) in sharded.shards().iter().enumerate() {
+                for local in 0..shard.len {
+                    let v = shard.start + local;
+                    let got = sharded.view(i).int8_row(local).expect("int8 copy");
+                    assert_eq!(got, (want.row(v), want.scale(v)), "{s} shards, item {v}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -858,15 +890,30 @@ mod tests {
 
     #[test]
     fn sharded_snapshot_footprint_sums_full_plus_shards() {
-        let sharded = ShardedSnapshot::build(snap(10, 2, true).with_fp16(), 3);
+        let params = AnnParams {
+            k_clusters: 6,
+            ..AnnParams::default()
+        };
+        let sharded = ShardedSnapshot::build(snap(10, 2, true).with_fp16().with_ann(params), 3);
         let r = sharded.footprint();
         assert!(r.verify());
-        // full: 10×2 f32 + f16 + 10 prior f32s = 80 + 40 + 40; shards copy
-        // the same payload across 3 ranges.
-        let full = 10 * 2 * 4 + 10 * 2 * 2 + 10 * 4;
-        assert_eq!(r.total_bytes(), 2 * full);
-        assert_eq!(r.children()[0].name(), "full");
+        // One catalog payload — 10×2 f32 + f16 + 10 prior f32s = 80 + 40 +
+        // 40 — counted once however many shards view it; shard subtrees
+        // hold nothing but their centroid indices.
+        let names = |n: &FootprintReport| -> Vec<String> {
+            n.children().iter().map(|c| c.name().to_string()).collect()
+        };
+        assert_eq!(names(&r), ["catalog", "shards"]);
+        assert_eq!(names(&r.children()[0]), ["fp32", "fp16", "priors"]);
+        assert_eq!(
+            r.children()[0].total_bytes(),
+            10 * 2 * 4 + 10 * 2 * 2 + 10 * 4
+        );
         assert_eq!(r.children()[1].children().len(), 3);
+        for (sub, shard) in r.children()[1].children().iter().zip(sharded.shards()) {
+            assert_eq!(names(sub), ["centroids"]);
+            assert_eq!(sub.total_bytes(), shard.ann.as_ref().unwrap().bytes());
+        }
     }
 
     #[test]

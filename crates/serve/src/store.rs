@@ -1,25 +1,16 @@
-//! The factor store: immutable model snapshots behind an atomic swap.
+//! Model snapshots: one immutable published epoch of the item catalog.
 //!
-//! Serving reads factors on every request while a background trainer wants
-//! to publish a new epoch every few minutes. The classic lock-free-reader
-//! answer (arc-swap, RCU) is an `Arc` per snapshot swapped under a brief
-//! lock: readers clone the `Arc` (nanoseconds, never blocked by a publish
-//! in progress), in-flight batches keep scoring the epoch they started
-//! with, and the old snapshot is dropped when its last reader finishes.
+//! A [`ModelSnapshot`] is encoded once per epoch — FP32 master, optional
+//! FP16 and int8 copies, priors — and then only read. The sharded store
+//! ([`crate::shard::ShardedFactorStore`]) swaps snapshots atomically
+//! behind an `Arc` and scores them through contiguous range views, so
+//! each encoding is resident exactly once however many shards read it.
 
 use crate::ann::{AnnParams, CentroidIndex, QuantizedFactors};
-use crate::error::ServeError;
-use crate::registry::ModelId;
 use cumf_numeric::dense::DenseMatrix;
-use cumf_numeric::f16::{narrow_slice, widen_slice, F16};
+use cumf_numeric::f16::{narrow_slice, F16};
 use cumf_telemetry::{FootprintReport, MemoryFootprint};
-use parking_lot::RwLock;
 use std::sync::Arc;
-
-/// Placeholder model id carried by [`ServeError::DimensionMismatch`] when
-/// a bare store (not registered under a [`crate::registry::ModelRegistry`])
-/// rejects a publish.
-pub(crate) const UNREGISTERED: &str = "(unregistered)";
 
 /// One immutable published model epoch: item factors (optionally also in
 /// FP16), per-item popularity priors, and the epoch number.
@@ -39,8 +30,10 @@ pub struct ModelSnapshot {
     /// Monotonic epoch number; cache keys embed it so entries from an old
     /// model can never answer for a new one.
     pub epoch: u64,
-    /// Item factors `Θ`, one `f`-long row per item.
-    item_factors: DenseMatrix,
+    /// Item factors `Θ`, one `f`-long row per item. Shared, so a snapshot
+    /// can be a view over a matrix the caller already holds (the
+    /// similar-users path scores `X` this way without copying it).
+    item_factors: Arc<DenseMatrix>,
     /// The same factors narrowed to binary16 (row-major, same layout),
     /// populated by [`ModelSnapshot::with_fp16`]. Reading these halves
     /// scoring bandwidth exactly as the paper's FP16 Gram storage halves
@@ -51,7 +44,8 @@ pub struct ModelSnapshot {
     popularity: Vec<f32>,
     /// K-means centroid index over the item factors, populated by
     /// [`ModelSnapshot::with_ann`]. Enables the two-stage approximate
-    /// retrieval path ([`crate::scorer::Retrieval::Approx`]).
+    /// retrieval path ([`crate::scorer::Retrieval::Approx`]); sharding
+    /// moves it into the shards.
     ann: Option<CentroidIndex>,
     /// Int8 per-block-scale copy of the factors, populated by
     /// [`ModelSnapshot::with_int8`] — the shortlist-scan format of the
@@ -63,6 +57,16 @@ impl ModelSnapshot {
     /// A snapshot of `item_factors` with additive `popularity` priors
     /// (pass an empty vector for none; otherwise one entry per item).
     pub fn new(epoch: u64, item_factors: DenseMatrix, popularity: Vec<f32>) -> ModelSnapshot {
+        ModelSnapshot::shared(epoch, Arc::new(item_factors), popularity)
+    }
+
+    /// [`ModelSnapshot::new`] over an already shared factor matrix: no
+    /// rows are copied.
+    pub(crate) fn shared(
+        epoch: u64,
+        item_factors: Arc<DenseMatrix>,
+        popularity: Vec<f32>,
+    ) -> ModelSnapshot {
         assert!(
             popularity.is_empty() || popularity.len() == item_factors.rows(),
             "popularity prior length {} != item count {}",
@@ -139,6 +143,12 @@ impl ModelSnapshot {
         self.ann.as_ref()
     }
 
+    /// Move the centroid index out (sharding hands it to a range view or
+    /// replaces it with per-shard indices).
+    pub(crate) fn take_ann(&mut self) -> Option<CentroidIndex> {
+        self.ann.take()
+    }
+
     /// The int8 factor copy, when [`ModelSnapshot::with_int8`] built one.
     pub fn int8(&self) -> Option<&QuantizedFactors> {
         self.int8.as_ref()
@@ -181,32 +191,6 @@ impl ModelSnapshot {
             self.popularity[item]
         }
     }
-
-    /// Materialize item rows `[start, start+len)` as `f32` into `scratch`
-    /// and return the filled slice, reading the FP16 copy when `fp16` is
-    /// set (and present). The FP32 path borrows directly from the matrix —
-    /// no copy — so `scratch` is only written on the quantized path.
-    pub fn block_rows<'a>(
-        &'a self,
-        start: usize,
-        len: usize,
-        fp16: bool,
-        scratch: &'a mut [f32],
-    ) -> &'a [f32] {
-        let f = self.f();
-        debug_assert!(start + len <= self.n_items());
-        match (&self.item_factors_f16, fp16) {
-            (Some(q), true) => {
-                let dst = &mut scratch[..len * f];
-                widen_slice(&q[start * f..(start + len) * f], dst);
-                dst
-            }
-            _ => {
-                let all = self.item_factors.as_slice();
-                &all[start * f..(start + len) * f]
-            }
-        }
-    }
 }
 
 impl MemoryFootprint for ModelSnapshot {
@@ -240,78 +224,6 @@ impl MemoryFootprint for ModelSnapshot {
     }
 }
 
-/// Snapshot-swapped holder of the current [`ModelSnapshot`].
-///
-/// ```
-/// use cumf_numeric::dense::DenseMatrix;
-/// use cumf_serve::store::{FactorStore, ModelSnapshot};
-///
-/// let store = FactorStore::new(ModelSnapshot::new(0, DenseMatrix::identity(3), vec![]));
-/// let reader = store.snapshot(); // epoch 0, held across a batch
-/// store.publish(ModelSnapshot::new(1, DenseMatrix::identity(3), vec![])).unwrap();
-/// assert_eq!(reader.epoch, 0);           // in-flight batch is unaffected
-/// assert_eq!(store.snapshot().epoch, 1); // new requests see the new epoch
-/// // A snapshot with a different feature dimension is a different model:
-/// assert!(store.publish(ModelSnapshot::new(2, DenseMatrix::identity(4), vec![])).is_err());
-/// ```
-#[derive(Debug)]
-pub struct FactorStore {
-    current: RwLock<Arc<ModelSnapshot>>,
-}
-
-impl FactorStore {
-    /// A store initially serving `snapshot`.
-    pub fn new(snapshot: ModelSnapshot) -> FactorStore {
-        FactorStore {
-            current: RwLock::new(Arc::new(snapshot)),
-        }
-    }
-
-    /// The current snapshot. Cheap (`Arc` clone under a read lock) and
-    /// never blocked for the duration of a publish — hold the returned
-    /// `Arc` for a whole batch so the batch scores one consistent epoch.
-    pub fn snapshot(&self) -> Arc<ModelSnapshot> {
-        self.current.read().clone()
-    }
-
-    /// Atomically replace the served snapshot; returns the new epoch.
-    /// In-flight readers keep their old `Arc`; it is freed when the last
-    /// of them drops it.
-    ///
-    /// The snapshot's feature dimension must match the one currently
-    /// served ([`ServeError::DimensionMismatch`] otherwise): every scorer
-    /// and user-factor matrix downstream is sized for the live `f`, so a
-    /// different `f` is a different model, not a new epoch.
-    pub fn publish(&self, snapshot: ModelSnapshot) -> Result<u64, ServeError> {
-        let mut current = self.current.write();
-        if snapshot.f() != current.f() {
-            return Err(ServeError::DimensionMismatch {
-                model: ModelId::from(UNREGISTERED),
-                expected: current.f(),
-                got: snapshot.f(),
-            });
-        }
-        let epoch = snapshot.epoch;
-        *current = Arc::new(snapshot);
-        Ok(epoch)
-    }
-
-    /// Epoch of the currently served snapshot.
-    pub fn epoch(&self) -> u64 {
-        self.current.read().epoch
-    }
-}
-
-impl MemoryFootprint for FactorStore {
-    /// The currently served snapshot, relabelled `current`.
-    fn footprint(&self) -> FootprintReport {
-        FootprintReport::branch(
-            "factor_store",
-            vec![self.snapshot().footprint().renamed("current")],
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,55 +239,26 @@ mod tests {
     }
 
     #[test]
-    fn publish_swaps_epoch_without_touching_readers() {
-        let store = FactorStore::new(snap(1, 4, 3));
-        let held = store.snapshot();
-        assert_eq!(store.publish(snap(2, 4, 3)), Ok(2));
-        assert_eq!(held.epoch, 1);
-        assert_eq!(store.epoch(), 2);
-        assert_eq!(store.snapshot().epoch, 2);
-    }
-
-    #[test]
-    fn publish_rejects_a_dimension_mismatch() {
-        // The serving scorers are sized for the live f; a snapshot with a
-        // different f used to be accepted silently and corrupt the next
-        // batch. It is now rejected and the served snapshot is untouched.
-        let store = FactorStore::new(snap(1, 4, 3));
-        let err = store.publish(snap(2, 4, 5)).unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::DimensionMismatch {
-                expected: 3,
-                got: 5,
-                ..
-            }
-        ));
-        assert_eq!(err.reason(), "dimension_mismatch");
-        assert_eq!(store.epoch(), 1, "rejected publish must not swap");
-        // Item-count changes (catalog growth) are still fine.
-        assert_eq!(store.publish(snap(2, 9, 3)), Ok(2));
-    }
-
-    #[test]
     fn fp16_block_read_is_close_to_fp32() {
         let s = snap(0, 8, 4).with_fp16();
-        let mut scratch = vec![0.0f32; 8 * 4];
-        let exact: Vec<f32> = s.block_rows(2, 3, false, &mut scratch).to_vec();
-        let quant = s.block_rows(2, 3, true, &mut scratch);
-        assert_eq!(quant.len(), exact.len());
-        for (q, e) in quant.iter().zip(&exact) {
-            // binary16 unit roundoff is 2⁻¹¹; values here are ≤ 3.1.
-            assert!((q - e).abs() <= e.abs() * 1e-3 + 1e-6, "{q} vs {e}");
+        let q = s.f16_factors().expect("FP16 copy attached");
+        assert_eq!(q.len(), s.item_factors().as_slice().len());
+        for v in 2..5 {
+            for (h, &e) in q[v * 4..(v + 1) * 4].iter().zip(s.item_row(v)) {
+                // binary16 unit roundoff is 2⁻¹¹; values here are ≤ 3.1.
+                let q = h.to_f32();
+                assert!((q - e).abs() <= e.abs() * 1e-3 + 1e-6, "{q} vs {e}");
+            }
         }
     }
 
     #[test]
     fn fp16_flag_without_copy_falls_back_to_fp32() {
         let s = snap(0, 4, 2);
-        let mut scratch = vec![0.0f32; 8];
-        let rows = s.block_rows(0, 2, true, &mut scratch);
-        assert_eq!(rows, &s.item_factors().as_slice()[..4]);
+        assert!(s.f16_factors().is_none());
+        let user = [0.7f32, -0.3];
+        let fp16 = crate::scorer::score_one(&s, &user, true);
+        assert_eq!(fp16, crate::scorer::score_one(&s, &user, false));
     }
 
     #[test]
@@ -442,16 +325,5 @@ mod tests {
         let plain = snap(0, 64, 8).footprint();
         assert!(plain.children().iter().all(|c| c.name() != "centroids"));
         assert!(plain.children().iter().all(|c| c.name() != "int8"));
-    }
-
-    #[test]
-    fn store_footprint_tracks_the_published_snapshot() {
-        let store = FactorStore::new(snap(0, 8, 4));
-        let before = store.footprint().total_bytes();
-        store.publish(snap(1, 16, 4)).unwrap();
-        let after = store.footprint();
-        assert!(after.verify());
-        assert_eq!(after.total_bytes(), 2 * before);
-        assert_eq!(after.children()[0].name(), "current");
     }
 }
